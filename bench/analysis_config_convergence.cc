@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (const int configs : {75, 150, 300, 600}) {
     exp::SweepSpec sweep;
     sweep.configs = configs;
-    sweep.base_seed = exp::env_seed(1000);
+    sweep.base_seed = env_u64("WADC_SEED", 1000);
     sweep.jobs = bench.jobs();
     const auto series = exp::run_sweep(
         library, sweep,

@@ -82,8 +82,8 @@ TraceMetrics analyze(const std::vector<dataflow::RunStats>& runs,
 int main(int argc, char** argv) {
   exp::BenchHarness bench(argc, argv, "analysis_relocation_traces");
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
-  const int configs = exp::env_configs(60);
-  const std::uint64_t base_seed = exp::env_seed(1000);
+  const int configs = env_int("WADC_CONFIGS", 60, 1);
+  const std::uint64_t base_seed = env_u64("WADC_SEED", 1000);
   const int jobs = exp::resolve_jobs(bench.jobs());
 
   std::printf("=== Relocation-trace analysis (%d configurations) ===\n\n",

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 
   exp::SweepSpec sweep;
-  sweep.configs = exp::env_configs(100);
-  sweep.base_seed = exp::env_seed(1000);
+  sweep.configs = env_int("WADC_CONFIGS", 100, 1);
+  sweep.base_seed = env_u64("WADC_SEED", 1000);
   sweep.jobs = bench.jobs();
 
   std::printf("=== Extension: adaptive combination order, %d configurations "

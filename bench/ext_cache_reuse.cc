@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   }
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
-  const int configs = exp::env_configs(4);
-  const std::uint64_t base_seed = exp::env_seed(1000);
+  const int configs = env_int("WADC_CONFIGS", 4, 1);
+  const std::uint64_t base_seed = env_u64("WADC_SEED", 1000);
   const int jobs = exp::resolve_jobs(bench.jobs());
   constexpr std::uint64_t kCapacityBytes = 256ull << 20;  // per host
 

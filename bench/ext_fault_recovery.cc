@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   exp::BenchHarness bench(argc, argv, "ext_fault_recovery");
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 
-  const int configs = exp::env_configs(40);
-  const std::uint64_t base_seed = exp::env_seed(9000);
+  const int configs = env_int("WADC_CONFIGS", 40, 1);
+  const std::uint64_t base_seed = env_u64("WADC_SEED", 9000);
   const std::vector<AlgorithmKind> algorithms = {
       AlgorithmKind::kOneShot, AlgorithmKind::kGlobal, AlgorithmKind::kLocal};
 

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   exp::BenchHarness bench(argc, argv, "ext_multi_client");
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 
-  const int configs = exp::env_configs(20);
-  const std::uint64_t base_seed = exp::env_seed(1000);
+  const int configs = env_int("WADC_CONFIGS", 20, 1);
+  const std::uint64_t base_seed = env_u64("WADC_SEED", 1000);
   const std::vector<int> client_counts = {1, 2, 4, 8};
   const std::vector<AlgorithmKind> algorithms = {
       AlgorithmKind::kDownloadAll, AlgorithmKind::kOneShot,

@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 
   exp::SweepSpec sweep;
-  sweep.configs = exp::env_configs(300);
-  sweep.base_seed = exp::env_seed(1000);
+  sweep.configs = env_int("WADC_CONFIGS", 300, 1);
+  sweep.base_seed = env_u64("WADC_SEED", 1000);
   sweep.jobs = bench.jobs();
 
   std::printf("=== Figure 8: speedup vs number of servers, %d "

@@ -1,9 +1,9 @@
 #include "cache/cache_config.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace wadc::cache {
 
@@ -13,33 +13,24 @@ namespace {
   throw std::runtime_error("cache spec: " + what);
 }
 
+// BYTES[k|m|g]: a whole decimal byte count, optionally scaled by a
+// binary unit suffix.
 std::uint64_t parse_capacity(const std::string& value) {
-  if (value.empty() || value[0] == '-' || value[0] == '+') {
-    fail("capacity must be a positive byte count, got '" + value + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || errno != 0) {
-    fail("capacity must be a positive byte count, got '" + value + "'");
-  }
+  std::string_view digits = value;
   std::uint64_t scale = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1ull << 10; break;
-      case 'm': case 'M': scale = 1ull << 20; break;
-      case 'g': case 'G': scale = 1ull << 30; break;
-      default:
-        fail("capacity must be a positive byte count, got '" + value + "'");
-    }
-    if (end[1] != '\0') {
-      fail("capacity must be a positive byte count, got '" + value + "'");
-    }
+  switch (digits.empty() ? '\0' : digits.back()) {
+    case 'k': case 'K': scale = 1ull << 10; break;
+    case 'm': case 'M': scale = 1ull << 20; break;
+    case 'g': case 'G': scale = 1ull << 30; break;
+    default: break;
   }
-  if (v == 0 || v > ~0ull / scale) {
+  if (scale != 1) digits.remove_suffix(1);
+  const auto v = parse_u64(digits);
+  if (!v) fail("capacity must be a positive byte count, got '" + value + "'");
+  if (*v == 0 || *v > ~0ull / scale) {
     fail("capacity out of range: '" + value + "'");
   }
-  return v * scale;
+  return *v * scale;
 }
 
 }  // namespace
@@ -73,17 +64,7 @@ CacheConfig parse_cache_spec(const std::string& text) {
   config.enabled = true;
   bool saw_capacity = false;
 
-  std::vector<std::string> pairs;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    pairs.push_back(text.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-
-  for (const std::string& pair : pairs) {
+  for (const std::string& pair : split(text, ',')) {
     if (pair.empty()) fail("empty key=value pair");
     const std::size_t eq = pair.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= pair.size()) {

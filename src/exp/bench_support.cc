@@ -1,7 +1,5 @@
 #include "exp/bench_support.h"
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,47 +11,29 @@
 
 namespace wadc::exp {
 
-namespace {
-
-bool parse_jobs_value(const char* s, int& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v < 0 || v > 1 << 20) {
-    return false;
-  }
-  if (v == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    out = hw == 0 ? 1 : static_cast<int>(hw);
-  } else {
-    out = static_cast<int>(v);
-  }
-  return true;
-}
-
-}  // namespace
-
 BenchOptions parse_bench_options(int argc, char** argv, const char* name) {
   BenchOptions opt;
+  const auto path = [](const char* flag, std::string value) {
+    if (value.empty()) {
+      std::fprintf(stderr, "%s requires a file path\n", flag);
+      std::exit(2);
+    }
+    return value;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      if (!parse_jobs_value(arg + 7, opt.jobs)) {
-        std::fprintf(stderr, "invalid integer for --jobs: '%s'\n", arg + 7);
+    if (const auto v = flag_value(arg, "--jobs")) {
+      const auto jobs = parse_jobs(*v);
+      if (!jobs) {
+        std::fprintf(stderr, "invalid integer for --jobs: '%s'\n",
+                     v->c_str());
         std::exit(2);
       }
-    } else if (std::strncmp(arg, "--bench-out=", 12) == 0) {
-      if (arg[12] == '\0') {
-        std::fprintf(stderr, "--bench-out requires a file path\n");
-        std::exit(2);
-      }
-      opt.bench_out = arg + 12;
-    } else if (std::strncmp(arg, "--profile-out=", 14) == 0) {
-      if (arg[14] == '\0') {
-        std::fprintf(stderr, "--profile-out requires a file path\n");
-        std::exit(2);
-      }
-      opt.profile_out = arg + 14;
+      opt.jobs = *jobs;
+    } else if (auto out = flag_value(arg, "--bench-out")) {
+      opt.bench_out = path("--bench-out", *out);
+    } else if (auto profile = flag_value(arg, "--profile-out")) {
+      opt.profile_out = path("--profile-out", *profile);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::fprintf(stderr,
                    "usage: %s [--jobs=N] [--bench-out=FILE] "

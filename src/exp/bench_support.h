@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "common/parse.h"  // env_int / env_u64 for the bench mains
 #include "obs/profiler.h"
 
 namespace wadc::exp {

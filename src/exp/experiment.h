@@ -226,12 +226,4 @@ std::vector<AlgorithmSeries> run_local_extras_sweep(
     const std::vector<int>& extra_candidate_counts,
     const ProgressFn& progress = {});
 
-// Environment-variable helpers shared by the bench binaries:
-// WADC_CONFIGS overrides the configuration count, WADC_SEED the base seed.
-// Parsing is strict: the whole value must be a number in range, and
-// malformed values (WADC_CONFIGS=8x, WADC_SEED=abc) are fatal (exit 2)
-// instead of being silently truncated or ignored.
-int env_configs(int fallback);
-std::uint64_t env_seed(std::uint64_t fallback);
-
 }  // namespace wadc::exp

@@ -2,46 +2,38 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace wadc::exp {
 
 namespace {
 
-int hardware_jobs() {
+constexpr int kMaxJobs = 1 << 20;
+
+// The one place "0 = all hardware threads" is decided.
+int jobs_value(int jobs) {
+  if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 }  // namespace
 
-int env_jobs(int fallback) {
-  const char* s = std::getenv("WADC_JOBS");
-  if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v < 0 || v > 1 << 20) {
-    std::fprintf(stderr,
-                 "invalid WADC_JOBS: '%s' (want a non-negative integer; "
-                 "0 = all hardware threads)\n",
-                 s);
-    std::exit(2);
-  }
-  return v == 0 ? hardware_jobs() : static_cast<int>(v);
+std::optional<int> parse_jobs(std::string_view text) {
+  const auto jobs = parse_int(text);
+  if (!jobs || *jobs < 0 || *jobs > kMaxJobs) return std::nullopt;
+  return jobs_value(*jobs);
 }
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
-  return env_jobs(/*fallback=*/1);
+  return jobs_value(env_int("WADC_JOBS", /*fallback=*/1, 0, kMaxJobs));
 }
 
 void parallel_for(int n, int jobs, const std::function<void(int)>& fn) {

@@ -6,18 +6,19 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 
 namespace wadc::exp {
 
-// Number of workers to use for a sweep. `requested` > 0 is taken as-is;
-// 0 means "default": the WADC_JOBS environment variable if set (where 0
-// selects all hardware threads), otherwise 1 (serial).
-int resolve_jobs(int requested);
+// Worker count named by a --jobs value: a whole integer in [0, 2^20], where
+// 0 selects all hardware threads; nullopt for anything else.
+std::optional<int> parse_jobs(std::string_view text);
 
-// WADC_JOBS override with strict parsing: a non-negative integer, where 0
-// selects all hardware threads. Garbage is fatal (exit 2), never silently
-// ignored.
-int env_jobs(int fallback);
+// Number of workers to use for a sweep. `requested` > 0 is taken as-is;
+// 0 means "default": the WADC_JOBS environment variable if set (read like
+// --jobs; anything else is fatal, exit 2), otherwise 1 (serial).
+int resolve_jobs(int requested);
 
 // Runs fn(i) exactly once for every i in [0, n), on up to `jobs` worker
 // threads (std::jthread). fn must only write to slots keyed by its index.

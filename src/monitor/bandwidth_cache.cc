@@ -18,6 +18,7 @@ void BandwidthCache::record(net::HostId a, net::HostId b, double bandwidth,
   WADC_ASSERT(bandwidth > 0, "non-positive bandwidth measurement");
   Sample& e = entries_[net::pair_index(a, b, num_hosts_)];
   if (measured_at > e.measured_at) {
+    if (e.measured_at < 0 && measured_at >= 0) ++live_;
     e.bandwidth = bandwidth;
     e.measured_at = measured_at;
     ++version_;
@@ -92,25 +93,22 @@ void BandwidthCache::merge(const std::vector<PairSample>& samples) {
   }
 }
 
+void BandwidthCache::clear(Sample& e) {
+  if (e.measured_at >= 0) --live_;
+  e = Sample{};
+}
+
 void BandwidthCache::invalidate(net::HostId a, net::HostId b) {
-  entries_[net::pair_index(a, b, num_hosts_)] = Sample{};
+  clear(entries_[net::pair_index(a, b, num_hosts_)]);
   ++version_;
 }
 
 void BandwidthCache::invalidate_host(net::HostId h) {
   for (net::HostId other = 0; other < num_hosts_; ++other) {
     if (other == h) continue;
-    entries_[net::pair_index(h, other, num_hosts_)] = Sample{};
+    clear(entries_[net::pair_index(h, other, num_hosts_)]);
   }
   ++version_;
-}
-
-std::size_t BandwidthCache::entry_count() const {
-  std::size_t n = 0;
-  for (const Sample& e : entries_) {
-    if (e.measured_at >= 0) ++n;
-  }
-  return n;
 }
 
 std::size_t BandwidthCache::unexpired_count(sim::SimTime now) const {

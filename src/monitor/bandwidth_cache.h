@@ -71,13 +71,18 @@ class BandwidthCache {
   // crashed host describe a network that no longer exists.
   void invalidate_host(net::HostId h);
 
-  std::size_t entry_count() const;
+  // Entries holding a measurement (a running count, O(1)).
+  std::size_t entry_count() const { return live_; }
   std::size_t unexpired_count(sim::SimTime now) const;
 
  private:
   int num_hosts_;
   sim::SimTime ttl_;
   std::vector<Sample> entries_;  // indexed by pair_index; measured_at<0 = none
+  std::size_t live_ = 0;         // entries with measured_at >= 0
+
+  // Resets one entry to "never measured", keeping live_ in step.
+  void clear(Sample& e);
 
   // Bumped on every content change (record of a newer sample, invalidate);
   // lets freshest() memoize.

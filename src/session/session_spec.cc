@@ -1,50 +1,12 @@
 #include "session/session_spec.h"
 
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
-#include <stdexcept>
+#include <string>
+
+#include "common/parse.h"
 
 namespace wadc::session {
-namespace {
-
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  throw std::runtime_error("session spec line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-double read_double(std::istringstream& in, int line_no, const char* what) {
-  double v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-int read_int(std::istringstream& in, int line_no, const char* what) {
-  int v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-void expect_end(std::istringstream& in, int line_no) {
-  std::string extra;
-  if (in >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
-}
-
-// Parses the numeric value of a `key=value` token; the whole value must be
-// consumed (id=3x is an error, not 3).
-double keyed_value(const std::string& token, std::size_t eq, int line_no) {
-  const std::string value = token.substr(eq + 1);
-  std::istringstream in(value);
-  double v = 0;
-  char extra = 0;
-  if (!(in >> v) || (in >> extra)) {
-    fail(line_no, "malformed value in '" + token + "'");
-  }
-  return v;
-}
-
-}  // namespace
 
 const char* admission_policy_name(AdmissionPolicy policy) {
   switch (policy) {
@@ -199,131 +161,110 @@ SessionSpec SessionSpec::poisson(int count, double rate_per_hour) {
 }
 
 SessionSpec parse_session_spec(const std::string& text) {
+  static constexpr std::string_view kKind = "session spec";
   SessionSpec spec;
   bool have_explicit = false;
   bool have_open = false;
   bool have_closed = false;
-  std::istringstream lines(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(lines, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream in(raw);
-    std::string keyword;
-    if (!(in >> keyword)) continue;  // blank or comment-only line
-
+  const auto parse_line = [&](SpecLine& in, std::string_view keyword) {
     if (keyword == "session") {
       if (have_open || have_closed) {
-        fail(line_no, "'session' cannot be combined with open/closed mode");
+        in.fail("'session' cannot be combined with open/closed mode");
       }
       have_explicit = true;
       spec.mode = ArrivalMode::kExplicit;
       ExplicitArrival a;
-      a.arrival_seconds = read_double(in, line_no, "arrival seconds");
+      a.arrival_seconds = in.next_double("arrival seconds");
       // Optional key=value tokens: id=<n>, deadline=<s>.
-      std::string token;
-      while (in >> token) {
-        const auto eq = token.find('=');
-        const std::string key =
-            eq == std::string::npos ? token : token.substr(0, eq);
-        if (eq == std::string::npos) {
-          fail(line_no, "unexpected trailing token '" + token + "'");
-        } else if (key == "id") {
-          a.id = static_cast<int>(keyed_value(token, eq, line_no));
-          if (a.id < 0) fail(line_no, "session id must be >= 0");
+      while (const auto token = in.next()) {
+        const auto eq = token->find('=');
+        if (eq == std::string_view::npos) {
+          in.fail("unexpected trailing token '" + std::string(*token) + "'");
+        }
+        const std::string_view key = token->substr(0, eq);
+        const std::string_view value = token->substr(eq + 1);
+        if (key == "id") {
+          a.id = in.to_int(value, "session id");
+          if (a.id < 0) in.fail("session id must be >= 0");
         } else if (key == "deadline") {
-          a.deadline_seconds = keyed_value(token, eq, line_no);
+          a.deadline_seconds = in.to_double(value, "deadline seconds");
         } else {
-          fail(line_no, "unknown session option '" + key + "'");
+          in.fail("unknown session option '" + std::string(key) + "'");
         }
       }
       if (a.id < 0) a.id = static_cast<int>(spec.arrivals.size());
       spec.arrivals.push_back(a);
     } else if (keyword == "open") {
       if (have_explicit || have_closed || have_open) {
-        fail(line_no, "only one arrival mode may be specified");
+        in.fail("only one arrival mode may be specified");
       }
       have_open = true;
       spec.mode = ArrivalMode::kOpenLoop;
-      spec.open_count = read_int(in, line_no, "session count");
-      spec.open_rate_per_hour = read_double(in, line_no, "rate per hour");
-      expect_end(in, line_no);
+      spec.open_count = in.next_int("session count");
+      spec.open_rate_per_hour = in.next_double("rate per hour");
     } else if (keyword == "closed") {
       if (have_explicit || have_open || have_closed) {
-        fail(line_no, "only one arrival mode may be specified");
+        in.fail("only one arrival mode may be specified");
       }
       have_closed = true;
       spec.mode = ArrivalMode::kClosedLoop;
-      spec.clients = read_int(in, line_no, "client count");
-      spec.queries_per_client = read_int(in, line_no, "queries per client");
-      spec.think_seconds = read_double(in, line_no, "think seconds");
-      expect_end(in, line_no);
+      spec.clients = in.next_int("client count");
+      spec.queries_per_client = in.next_int("queries per client");
+      spec.think_seconds = in.next_double("think seconds");
     } else if (keyword == "defer_cap") {
       spec.admission.max_defer_seconds =
-          read_double(in, line_no, "deferral cap seconds");
-      expect_end(in, line_no);
+          in.next_double("deferral cap seconds");
     } else if (keyword == "admission") {
-      std::string policy;
-      if (!(in >> policy)) {
-        fail(line_no, "expected 'unbounded', 'cap', 'bandwidth', 'shed', "
-                      "'deadline' or 'degrade'");
-      }
+      const std::string_view policy =
+          in.next_word("'unbounded', 'cap', 'bandwidth', 'shed', "
+                       "'deadline' or 'degrade'");
       if (policy == "unbounded") {
         spec.admission.policy = AdmissionPolicy::kUnbounded;
-        expect_end(in, line_no);
       } else if (policy == "cap") {
         spec.admission.policy = AdmissionPolicy::kFixedCap;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        expect_end(in, line_no);
+            in.next_int("max concurrent sessions");
       } else if (policy == "bandwidth") {
         spec.admission.policy = AdmissionPolicy::kBandwidthAware;
         spec.admission.min_bandwidth =
-            read_double(in, line_no, "minimum bandwidth (bytes/second)");
-        double recheck = 0;
-        if (in >> recheck) spec.admission.recheck_seconds = recheck;
-        expect_end(in, line_no);
+            in.next_double("minimum bandwidth (bytes/second)");
+        if (const auto t = in.next()) {
+          spec.admission.recheck_seconds = in.to_double(*t, "recheck seconds");
+        }
       } else if (policy == "shed") {
         spec.admission.policy = AdmissionPolicy::kLoadShedding;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        int max_queue = 0;
-        if (in >> max_queue) spec.admission.max_queue = max_queue;
-        expect_end(in, line_no);
+            in.next_int("max concurrent sessions");
+        if (const auto t = in.next()) {
+          spec.admission.max_queue = in.to_int(*t, "max queue");
+        }
       } else if (policy == "deadline") {
         spec.admission.policy = AdmissionPolicy::kDeadlineAware;
-        spec.admission.deadline_seconds =
-            read_double(in, line_no, "deadline seconds");
-        expect_end(in, line_no);
+        spec.admission.deadline_seconds = in.next_double("deadline seconds");
       } else if (policy == "degrade") {
         spec.admission.policy = AdmissionPolicy::kDegrading;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        expect_end(in, line_no);
+            in.next_int("max concurrent sessions");
       } else {
-        fail(line_no, "unknown admission policy '" + policy + "'");
+        in.fail("unknown admission policy '" + std::string(policy) + "'");
       }
     } else {
-      fail(line_no, "unknown keyword '" + keyword + "'");
+      in.fail("unknown keyword '" + std::string(keyword) + "'");
     }
-  }
+    in.expect_end();
+  };
+  const int lines = for_each_spec_line(kKind, text, parse_line);
   if (!have_explicit && !have_open && !have_closed) {
-    fail(line_no == 0 ? 1 : line_no, "spec defines no sessions");
+    throw spec_error(kKind, lines == 0 ? 1 : lines, "spec defines no sessions");
   }
   if (const std::string problem = spec.validate(); !problem.empty()) {
-    fail(line_no, problem);
+    throw spec_error(kKind, lines, problem);
   }
   return spec;
 }
 
 SessionSpec load_session_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open session spec: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_session_spec(buffer.str());
+  return parse_session_spec(read_file(path, "session spec"));
 }
 
 }  // namespace wadc::session

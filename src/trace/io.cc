@@ -1,34 +1,62 @@
 #include "trace/io.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/parse.h"
 
 namespace wadc::trace {
 
 namespace {
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("malformed trace input: " + what);
-}
+constexpr std::string_view kKind = "trace input";
 
-std::string read_line(std::istream& in, const std::string& context) {
-  std::string line;
-  if (!std::getline(in, line)) malformed("unexpected end of input at " + context);
-  return line;
-}
+// Line reader over the text format. Lines are numbered across a whole
+// trace set, so every error names the line of the input it is on.
+struct Reader {
+  std::istream& in;
+  std::string text{};
+  int line_no = 0;
 
-void expect_line(std::istream& in, const std::string& expected) {
-  const std::string line = read_line(in, expected);
-  if (line != expected) malformed("expected '" + expected + "', got '" + line + "'");
-}
+  // The next line as a token reader; valid until the next call.
+  SpecLine line() {
+    if (!std::getline(in, text)) {
+      throw spec_error(kKind, line_no + 1, "unexpected end of input");
+    }
+    return SpecLine(kKind, ++line_no, text);
+  }
 
-double read_keyed_number(std::istream& in, const std::string& key) {
-  std::istringstream line(read_line(in, key));
-  std::string k;
-  double v = 0;
-  if (!(line >> k >> v) || k != key) malformed("expected '" + key + " <value>'");
-  return v;
+  void expect(const std::string& header) {
+    const SpecLine l = line();
+    if (text != header) l.fail("expected '" + header + "', got '" + text + "'");
+  }
+
+  // The line "<key> <value>", positioned at the value.
+  SpecLine keyed(const char* key) {
+    SpecLine l = line();
+    if (l.next() != key) l.fail(std::string("expected '") + key + " <value>'");
+    return l;
+  }
+};
+
+BandwidthTrace read_trace(Reader& r) {
+  r.expect("wadc-trace v1");
+  SpecLine l = r.keyed("step");
+  const double step = l.next_double("step seconds");
+  l.expect_end();
+  if (step <= 0) l.fail("non-positive step");
+  l = r.keyed("samples");
+  const int samples = l.next_int("sample count");
+  l.expect_end();
+  if (samples < 1) l.fail("empty trace");
+  std::vector<double> values;
+  for (int i = 0; i < samples; ++i) {
+    l = r.line();
+    values.push_back(l.next_double("sample"));
+    l.expect_end();
+    if (values.back() <= 0) l.fail("non-positive sample");
+  }
+  return BandwidthTrace(step, std::move(values));
 }
 
 }  // namespace
@@ -43,22 +71,8 @@ void save_trace(const BandwidthTrace& trace, std::ostream& out) {
 }
 
 BandwidthTrace load_trace(std::istream& in) {
-  expect_line(in, "wadc-trace v1");
-  const double step = read_keyed_number(in, "step");
-  const auto samples = static_cast<std::size_t>(
-      read_keyed_number(in, "samples"));
-  if (step <= 0) malformed("non-positive step");
-  if (samples == 0) malformed("empty trace");
-  std::vector<double> values;
-  values.reserve(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    std::istringstream line(read_line(in, "sample"));
-    double v = 0;
-    if (!(line >> v)) malformed("bad sample line");
-    if (v <= 0) malformed("non-positive sample");
-    values.push_back(v);
-  }
-  return BandwidthTrace(step, std::move(values));
+  Reader r{in};
+  return read_trace(r);
 }
 
 void save_trace_set(const std::vector<BandwidthTrace>& traces,
@@ -69,12 +83,14 @@ void save_trace_set(const std::vector<BandwidthTrace>& traces,
 }
 
 std::vector<BandwidthTrace> load_trace_set(std::istream& in) {
-  expect_line(in, "wadc-trace-set v1");
-  const auto count =
-      static_cast<std::size_t>(read_keyed_number(in, "count"));
+  Reader r{in};
+  r.expect("wadc-trace-set v1");
+  SpecLine l = r.keyed("count");
+  const int count = l.next_int("trace count");
+  l.expect_end();
+  if (count < 0) l.fail("negative trace count");
   std::vector<BandwidthTrace> traces;
-  traces.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) traces.push_back(load_trace(in));
+  for (int i = 0; i < count; ++i) traces.push_back(read_trace(r));
   return traces;
 }
 

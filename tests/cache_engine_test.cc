@@ -11,8 +11,15 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/cache_key.h"
+#include "cache/fabric.h"
 #include "core/algorithm_kind.h"
+#include "core/cost_model.h"
+#include "dataflow/engine.h"
 #include "exp/experiment.h"
+#include "exp/network_config.h"
+#include "monitor/monitoring_system.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "session/session_spec.h"
 #include "session/session_stats.h"
@@ -137,6 +144,70 @@ TEST(CacheEngine, TinyCapacityEvictsAndStillCompletes) {
   EXPECT_GT(metrics.counter("cache.evictions").value(), 0);
   for (const session::SessionRecord& r : stats.sessions()) {
     EXPECT_EQ(r.images, spec.iterations);
+  }
+}
+
+TEST(CacheEngine, RecreateCostShipsOnlyRemoteInputs) {
+  // download-all keeps every operator at the client, so on a left-deep tree
+  // over servers 0..2 the root combines the co-located result of op(0, 1)
+  // with server 2's remote image. The cost-eviction recreate cost must
+  // price only that remote input, as core::CostModel prices a co-located
+  // edge at zero. Monitoring is off, so every remote input ships at the
+  // cost model's pessimistic bandwidth and the expected value is exact.
+  constexpr int kServers = 3;
+  constexpr int kIterations = 4;
+  sim::Simulation sim;
+  const net::LinkTable links =
+      make_network_config(shared_library(), kServers + 1, 31);
+  net::Network network(sim, links, net::NetworkParams{});
+  monitor::MonitorParams mp;
+  mp.passive_enabled = false;
+  mp.piggyback_enabled = false;
+  mp.probing_enabled = false;
+  monitor::MonitoringSystem monitoring(network, mp);
+  const core::CombinationTree tree =
+      core::CombinationTree::make(core::TreeShape::kLeftDeep, kServers);
+  workload::WorkloadParams wp;
+  wp.iterations = kIterations;
+  const workload::ImageWorkload workload(wp, kServers, 31);
+  cache::CacheConfig config;
+  config.enabled = true;
+  config.capacity_bytes = 64ull << 20;
+  config.policy = cache::EvictionPolicy::kCost;
+  config.diffusion = false;  // keep the root entry as the engine priced it
+  cache::CacheFabric fabric(config, kServers + 1, &monitoring, {});
+  dataflow::EngineParams ep;
+  ep.algorithm = core::AlgorithmKind::kDownloadAll;
+  ep.cache_fabric = &fabric;
+  dataflow::Engine engine(sim, network, monitoring, tree, workload, ep);
+  ASSERT_TRUE(engine.run().completed);
+
+  const double bw = core::CostModelParams{}.pessimistic_bandwidth;
+  const cache::ResultCache& client = fabric.host_cache(0);
+  for (int i = 0; i < kIterations; ++i) {
+    const workload::ImageSpec& s0 = workload.image(0, i);
+    const workload::ImageSpec& s1 = workload.image(1, i);
+    const workload::ImageSpec& s2 = workload.image(2, i);
+    const workload::ImageSpec inner = workload::compose(s0, s1);
+    const workload::ImageSpec root = workload::compose(inner, s2);
+    const auto entry = [&](std::vector<int> leaves,
+                           const workload::ImageSpec& image) {
+      return client.find(cache::CacheKey{
+          cache::subtree_signature(std::move(leaves), image.lineage,
+                                   "compose"),
+          i});
+    };
+    const cache::ResultCache::Entry* inner_entry = entry({0, 1}, inner);
+    const cache::ResultCache::Entry* root_entry = entry({0, 1, 2}, root);
+    ASSERT_NE(inner_entry, nullptr);
+    ASSERT_NE(root_entry, nullptr);
+    // Both of op(0, 1)'s inputs are remote servers.
+    EXPECT_DOUBLE_EQ(inner_entry->recreate_seconds,
+                     workload.compose_seconds(inner) + s0.bytes / bw +
+                         s1.bytes / bw);
+    // The root's co-located input ships nothing.
+    EXPECT_DOUBLE_EQ(root_entry->recreate_seconds,
+                     workload.compose_seconds(root) + s2.bytes / bw);
   }
 }
 

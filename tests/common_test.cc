@@ -1,12 +1,19 @@
-// Tests for the common utilities: deterministic RNG and assertions.
+// Tests for the common utilities: deterministic RNG, assertions and strict
+// number parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <set>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 #include "common/rng.h"
 
 namespace wadc {
@@ -152,6 +159,107 @@ TEST(AssertDeath, FailingAssertAbortsWithMessage) {
 
 TEST(AssertDeath, FatalAborts) {
   EXPECT_DEATH(WADC_FATAL("unreachable state ", 7), "unreachable state 7");
+}
+
+// ---- strict parsing (common/parse.h) ---------------------------------------
+
+TEST(Parse, NumbersAreWholeTokens) {
+  struct Case {
+    const char* text;
+    std::optional<int> as_int;
+    std::optional<std::uint64_t> as_u64;
+    std::optional<double> as_double;
+  };
+  const std::optional<int> no_int;
+  const std::optional<std::uint64_t> no_u64;
+  const std::optional<double> no_double;
+  const Case cases[] = {
+      {"0", 0, 0u, 0.0},
+      {"42", 42, 42u, 42.0},
+      {"-3", -3, no_u64, -3.0},
+      {"1e3", no_int, no_u64, 1000.0},
+      {"0.001", no_int, no_u64, 0.001},
+      {"2147483647", 2147483647, 2147483647u, 2147483647.0},
+      {"2147483648", no_int, 2147483648u, 2147483648.0},
+      {"18446744073709551615", no_int,
+       std::numeric_limits<std::uint64_t>::max(), 18446744073709551615.0},
+      {"18446744073709551616", no_int, no_u64, 18446744073709551616.0},
+      {"1e999", no_int, no_u64, no_double},  // overflow
+      {"", no_int, no_u64, no_double},
+      {"8x", no_int, no_u64, no_double},
+      {"1.9", no_int, no_u64, 1.9},
+      {"+5", no_int, no_u64, no_double},
+      {" 5", no_int, no_u64, no_double},
+      {"5 ", no_int, no_u64, no_double},
+      {"0x10", no_int, no_u64, no_double},
+      {"inf", no_int, no_u64, no_double},
+      {"nan", no_int, no_u64, no_double},
+      {"-", no_int, no_u64, no_double},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    EXPECT_EQ(parse_int(c.text), c.as_int);
+    EXPECT_EQ(parse_u64(c.text), c.as_u64);
+    EXPECT_EQ(parse_double(c.text), c.as_double);
+  }
+  EXPECT_EQ(parse_u64("00e9", 16), 0xe9u);
+  EXPECT_EQ(parse_u64("zz", 16), no_u64);
+}
+
+TEST(Parse, SpecLineNamesKindAndLine) {
+  SpecLine line("demo spec", 7, "  12\t0.5  ");
+  EXPECT_EQ(line.next_int("count"), 12);
+  EXPECT_DOUBLE_EQ(line.next_double("rate"), 0.5);
+  EXPECT_FALSE(line.next());
+  line.expect_end();
+  const auto message = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([] { SpecLine("demo", 3, "1.9").next_int("host id"); }),
+            "demo line 3: expected host id, got '1.9'");
+  EXPECT_EQ(message([] { SpecLine("demo", 4, "").next_double("time"); }),
+            "demo line 4: expected time");
+  EXPECT_EQ(message([] { SpecLine("demo", 5, "1 2").expect_end(); }),
+            "demo line 5: unexpected trailing token '1'");
+}
+
+TEST(Parse, ForEachSpecLineSkipsCommentsAndBlanks) {
+  std::vector<std::string> seen;
+  const int lines = for_each_spec_line(
+      "demo spec", "# header\n\nalpha 1 # note\n  beta\n",
+      [&](SpecLine& line, std::string_view keyword) {
+        seen.push_back(std::to_string(line.line_no()) + ":" +
+                       std::string(keyword));
+        while (line.next()) {
+        }
+      });
+  EXPECT_EQ(lines, 4);
+  EXPECT_EQ(seen, (std::vector<std::string>{"3:alpha", "4:beta"}));
+}
+
+TEST(Parse, EnvReaderFallsBackAndReadsRange) {
+  unsetenv("WADC_PARSE_TEST");
+  EXPECT_EQ(env_int("WADC_PARSE_TEST", 9, 1), 9);
+  setenv("WADC_PARSE_TEST", "18446744073709551615", 1);
+  EXPECT_EQ(env_u64("WADC_PARSE_TEST", 0),
+            std::numeric_limits<std::uint64_t>::max());
+  setenv("WADC_PARSE_TEST", "12", 1);
+  EXPECT_EQ(env_int("WADC_PARSE_TEST", 9, 1, 12), 12);
+  unsetenv("WADC_PARSE_TEST");
+}
+
+TEST(ParseDeathTest, EnvReaderExitsTwoOnMalformedOrOutOfRange) {
+  for (const char* bad : {"8x", "", "-3", "13", "0"}) {
+    setenv("WADC_PARSE_TEST", bad, 1);
+    EXPECT_EXIT(env_int("WADC_PARSE_TEST", 9, 1, 12),
+                testing::ExitedWithCode(2), "invalid WADC_PARSE_TEST");
+  }
+  unsetenv("WADC_PARSE_TEST");
 }
 
 }  // namespace

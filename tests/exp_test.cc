@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 
+#include "common/parse.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "trace/library.h"
@@ -158,40 +159,40 @@ TEST(SeriesStats, ComputesSummary) {
 TEST(EnvHelpers, FallBackWithoutVariables) {
   unsetenv("WADC_CONFIGS");
   unsetenv("WADC_SEED");
-  EXPECT_EQ(env_configs(42), 42);
-  EXPECT_EQ(env_seed(7), 7u);
+  EXPECT_EQ(env_int("WADC_CONFIGS", 42, 1), 42);
+  EXPECT_EQ(env_u64("WADC_SEED", 7), 7u);
 }
 
 TEST(EnvHelpers, ReadOverrides) {
   setenv("WADC_CONFIGS", "12", 1);
   setenv("WADC_SEED", "99", 1);
-  EXPECT_EQ(env_configs(42), 12);
-  EXPECT_EQ(env_seed(7), 99u);
+  EXPECT_EQ(env_int("WADC_CONFIGS", 42, 1), 12);
+  EXPECT_EQ(env_u64("WADC_SEED", 7), 99u);
   unsetenv("WADC_CONFIGS");
   unsetenv("WADC_SEED");
 }
 
 TEST(EnvHelpers, SeedZeroIsAValidOverride) {
   setenv("WADC_SEED", "0", 1);
-  EXPECT_EQ(env_seed(7), 0u);
+  EXPECT_EQ(env_u64("WADC_SEED", 7), 0u);
   unsetenv("WADC_SEED");
 }
 
 TEST(EnvHelpersDeathTest, TrailingGarbageInConfigsIsFatal) {
   setenv("WADC_CONFIGS", "8x", 1);
-  EXPECT_EXIT(env_configs(1), testing::ExitedWithCode(2), "WADC_CONFIGS");
+  EXPECT_EXIT(env_int("WADC_CONFIGS", 1, 1), testing::ExitedWithCode(2), "WADC_CONFIGS");
   unsetenv("WADC_CONFIGS");
 }
 
 TEST(EnvHelpersDeathTest, NegativeConfigsIsFatal) {
   setenv("WADC_CONFIGS", "-2", 1);
-  EXPECT_EXIT(env_configs(1), testing::ExitedWithCode(2), "WADC_CONFIGS");
+  EXPECT_EXIT(env_int("WADC_CONFIGS", 1, 1), testing::ExitedWithCode(2), "WADC_CONFIGS");
   unsetenv("WADC_CONFIGS");
 }
 
 TEST(EnvHelpersDeathTest, NonNumericSeedIsFatal) {
   setenv("WADC_SEED", "abc", 1);
-  EXPECT_EXIT(env_seed(1), testing::ExitedWithCode(2), "WADC_SEED");
+  EXPECT_EXIT(env_u64("WADC_SEED", 1), testing::ExitedWithCode(2), "WADC_SEED");
   unsetenv("WADC_SEED");
 }
 

@@ -62,9 +62,12 @@ TEST_P(FaultRecoveryMatrixTest, CompletesUnderTransientFaults) {
   EXPECT_LE(fs.link_blackout_ends, fs.link_blackouts);
 }
 
-TEST_P(FaultRecoveryMatrixTest, FaultRunsAreDeterministic) {
+// Determinism is spot-checked on the first four seeds of the matrix.
+class FaultRecoveryRepeatTest
+    : public ::testing::TestWithParam<RecoveryParam> {};
+
+TEST_P(FaultRecoveryRepeatTest, FaultRunsAreDeterministic) {
   const auto [algorithm, seed] = GetParam();
-  if (seed > 4) GTEST_SKIP() << "determinism spot-check on the first seeds";
   exp::ExperimentSpec spec = base_spec(algorithm, 6000 + seed);
   spec.fault.random.crash_rate_per_hour = 0.8;
   spec.fault.random.mean_downtime_seconds = 240;
@@ -104,6 +107,16 @@ INSTANTIATE_TEST_SUITE_P(
                           core::AlgorithmKind::kLocal,
                           core::AlgorithmKind::kGlobalOrder),
         ::testing::Range<std::uint64_t>(1, 17)),
+    recovery_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedMatrix, FaultRecoveryRepeatTest,
+    ::testing::Combine(
+        ::testing::Values(core::AlgorithmKind::kOneShot,
+                          core::AlgorithmKind::kGlobal,
+                          core::AlgorithmKind::kLocal,
+                          core::AlgorithmKind::kGlobalOrder),
+        ::testing::Range<std::uint64_t>(1, 5)),
     recovery_name);
 
 // ---- degradation paths -----------------------------------------------------

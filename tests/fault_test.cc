@@ -148,11 +148,24 @@ TEST(FaultSpecIo, RejectsMalformedLinesWithLineNumbers) {
   EXPECT_THROW(parse_fault_spec("crash 1 10 20 30\n"), std::runtime_error);
   EXPECT_THROW(parse_fault_spec("drop\n"), std::runtime_error);
   EXPECT_THROW(parse_fault_spec("rate sideways 1 2\n"), std::runtime_error);
+  // Numbers are whole tokens: no host 1 crashing at 0.9 s, no hosts 1-2
+  // blacked out from 0.5 s.
+  EXPECT_THROW(parse_fault_spec("crash 1.9 100\n"), std::runtime_error);
+  EXPECT_THROW(parse_fault_spec("blackout 1 2.5 10\n"), std::runtime_error);
+  EXPECT_THROW(parse_fault_spec("crash 1 10 x\n"), std::runtime_error);
   try {
     parse_fault_spec("drop 0.1\nblackout 0\n");
     FAIL() << "expected parse failure";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+  try {
+    parse_fault_spec("drop 0.1\n\ncrash 1.9 100\n");
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fault spec line 3"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -289,6 +289,39 @@ TEST(BandwidthCache, InvalidateHostDropsEveryPairTouchingIt) {
   EXPECT_DOUBLE_EQ(cache.lookup(0, 1, 3.0)->bandwidth, 555.0);
 }
 
+TEST(BandwidthCache, EntryCountMatchesAFullScan) {
+  constexpr int kHosts = 6;
+  BandwidthCache cache(kHosts, 40.0);
+  const auto scan = [&cache] {
+    std::size_t n = 0;
+    for (net::HostId a = 0; a < kHosts; ++a) {
+      for (net::HostId b = a + 1; b < kHosts; ++b) {
+        if (cache.lookup_any_age(a, b)) ++n;
+      }
+    }
+    return n;
+  };
+  cache.record(0, 1, 100.0, 1.0);
+  cache.record(1, 2, 200.0, 1.0);
+  cache.record(1, 0, 150.0, 2.0);  // replaces {0,1}: still one entry
+  cache.record(2, 1, 150.0, 0.5);  // older: ignored
+  EXPECT_EQ(cache.entry_count(), scan());
+  cache.merge({{3, 4, {300.0, 3.0}},
+               {0, 1, {100.0, 1.5}},  // older than the {0,1} entry
+               {4, 5, {50.0, 4.0}}});
+  EXPECT_EQ(cache.entry_count(), scan());
+  cache.invalidate(3, 4);
+  cache.invalidate(3, 4);  // already empty
+  cache.invalidate(2, 5);  // never measured
+  EXPECT_EQ(cache.entry_count(), scan());
+  cache.invalidate_host(1);
+  EXPECT_EQ(cache.entry_count(), scan());
+  cache.record(1, 5, 70.0, 6.0);
+  cache.invalidate_host(0);
+  EXPECT_EQ(cache.entry_count(), scan());
+  EXPECT_EQ(cache.entry_count(), 2u);  // {1,5} and {4,5}
+}
+
 TEST(BandwidthCache, FreshestAndUnexpiredAgreeAtExactTtlBoundary) {
   // Age == TTL is *fresh* everywhere (lookup, freshest, unexpired_count):
   // the three consumers must share one expiry rule.

@@ -80,9 +80,9 @@ TEST(ResolveJobsTest, EnvOverrideApplies) {
 
 TEST(ResolveJobsDeathTest, MalformedEnvValueIsFatal) {
   setenv("WADC_JOBS", "4x", 1);
-  EXPECT_EXIT(env_jobs(1), testing::ExitedWithCode(2), "WADC_JOBS");
+  EXPECT_EXIT(resolve_jobs(0), testing::ExitedWithCode(2), "WADC_JOBS");
   setenv("WADC_JOBS", "-3", 1);
-  EXPECT_EXIT(env_jobs(1), testing::ExitedWithCode(2), "WADC_JOBS");
+  EXPECT_EXIT(resolve_jobs(0), testing::ExitedWithCode(2), "WADC_JOBS");
   unsetenv("WADC_JOBS");
 }
 

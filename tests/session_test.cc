@@ -128,6 +128,10 @@ TEST(SessionSpecParse, MalformedSpecsThrowWithLineNumber) {
   EXPECT_THROW(parse_session_spec("open 0 5\n"), std::runtime_error);
   EXPECT_THROW(parse_session_spec("closed 2 1 10 extra\n"),
                std::runtime_error);
+  // Counts are whole integer tokens: not 4 sessions at 0.5/h, not 2
+  // clients with 0.5 queries each.
+  EXPECT_THROW(parse_session_spec("open 4.5\n"), std::runtime_error);
+  EXPECT_THROW(parse_session_spec("closed 2.5 3 10\n"), std::runtime_error);
   EXPECT_THROW(parse_session_spec("session 0\nadmission cap 0\n"),
                std::runtime_error);
   EXPECT_THROW(parse_session_spec("session 0\nadmission bandwidth -1\n"),
@@ -142,6 +146,14 @@ TEST(SessionSpecParse, MalformedSpecsThrowWithLineNumber) {
     FAIL() << "expected parse failure";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  try {
+    parse_session_spec("# open loop\nopen 4.5\n");
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("session spec line 2"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -46,6 +46,9 @@ TEST(TraceIo, RoundTripsATraceSet) {
 TEST(TraceIo, RejectsBadMagic) {
   std::stringstream buffer("not-a-trace v9\n");
   EXPECT_THROW(load_trace(buffer), std::runtime_error);
+  // A negative trace count is malformed, not a huge unsigned one.
+  std::stringstream negative_count("wadc-trace-set v1\ncount -1\n");
+  EXPECT_THROW(load_trace_set(negative_count), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsTruncatedInput) {
@@ -56,6 +59,20 @@ TEST(TraceIo, RejectsTruncatedInput) {
 TEST(TraceIo, RejectsNonPositiveSamples) {
   std::stringstream buffer("wadc-trace v1\nstep 10\nsamples 2\n100\n-5\n");
   EXPECT_THROW(load_trace(buffer), std::runtime_error);
+  // Every number is one whole token: no 3-sample trace from "samples 3.5",
+  // no 5 B/s sample from "5x". The error names the line.
+  std::stringstream fractional_count(
+      "wadc-trace v1\nstep 10\nsamples 3.5\n1\n2\n3\n");
+  EXPECT_THROW(load_trace(fractional_count), std::runtime_error);
+  std::stringstream trailing_garbage(
+      "wadc-trace v1\nstep 10\nsamples 2\n5x\n7\n");
+  try {
+    load_trace(trailing_garbage);
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, RejectsZeroStep) {

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parse.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "trace/library.h"
@@ -104,14 +105,6 @@ struct Options {
   int configs = 60;
   std::string out_path;
 };
-
-std::optional<std::string> flag_value(const char* arg, const char* name) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
 
 // ---- minimal JSON reader (inspect mode; no external dependencies) ----------
 
@@ -280,9 +273,11 @@ class JsonParser {
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           // The repo's writers only emit \u00XX control escapes; decode the
           // code point as a single byte and keep anything else verbatim.
-          const std::string hex = text_.substr(pos_, 4);
+          const auto code =
+              parse_u64(std::string_view(text_).substr(pos_, 4), 16);
+          if (!code) fail("bad \\u escape");
           pos_ += 4;
-          out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
+          out.push_back(static_cast<char>(*code));
           break;
         }
         default: fail("unknown escape");
@@ -298,28 +293,18 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
+    const auto number =
+        parse_double(std::string_view(text_).substr(start, pos_ - start));
+    if (!number) fail("bad number");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
+    v.number = *number;
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
 };
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) throw std::runtime_error("read failed: " + path);
-  return buf.str();
-}
 
 // ---- inspect mode ----------------------------------------------------------
 
@@ -338,25 +323,10 @@ struct TimelineRow {
   double bytes = -1;
 };
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  for (const char c : line) {
-    if (c == ',') {
-      cells.push_back(cell);
-      cell.clear();
-    } else {
-      cell.push_back(c);
-    }
-  }
-  cells.push_back(cell);
-  return cells;
-}
-
 // Loads a timeline exported by wadc_run --timeline-out, in either format
 // (CSV by default, JSON when the export path ended in .json).
 std::vector<TimelineRow> load_timeline(const std::string& path) {
-  const std::string text = read_file(path);
+  const std::string text = read_file(path, "input");
   std::vector<TimelineRow> rows;
 
   std::size_t first = 0;
@@ -398,12 +368,14 @@ std::vector<TimelineRow> load_timeline(const std::string& path) {
   }
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv_line(line);
+    const std::vector<std::string> cells = split(line, ',');
     if (cells.size() != 11) {
       throw std::runtime_error(path + ": malformed CSV row '" + line + "'");
     }
-    const auto num = [](const std::string& s, double fallback) {
-      return s.empty() ? fallback : std::stod(s);
+    const auto num = [&](const std::string& s, double fallback) {
+      const auto v = s.empty() ? std::optional(fallback) : parse_double(s);
+      if (!v) throw std::runtime_error(path + ": bad number '" + s + "'");
+      return *v;
     };
     TimelineRow row;
     row.t = num(cells[0], 0);
@@ -435,7 +407,7 @@ struct InspectOptions {
 // not deterministic simulated seconds, and the digest says so instead of
 // presenting them as reproducible.
 void print_run_digest(const std::string& path) {
-  const JsonValue root = JsonParser(read_file(path)).parse();
+  const JsonValue root = JsonParser(read_file(path, "input")).parse();
   const std::string backend = root.string_or("backend", "sim");
   std::printf("## Run digest\n\n");
   if (backend == "sim") {
@@ -614,9 +586,11 @@ void print_cache_digest(const JsonValue& root) {
     for (const auto& [name, v] : section->object) {
       (void)v;
       if (name.rfind("cache.host", 0) != 0) continue;
-      const std::size_t digits = std::strlen("cache.host");
-      const int id = std::atoi(name.c_str() + digits);
-      host_ids[id] = true;
+      const std::string_view rest =
+          std::string_view(name).substr(std::strlen("cache.host"));
+      if (const auto id = parse_int(rest.substr(0, rest.find('.')))) {
+        host_ids[*id] = true;
+      }
     }
   };
   collect(counters);
@@ -637,7 +611,7 @@ void print_cache_digest(const JsonValue& root) {
 }
 
 void print_metrics_digest(const std::string& path) {
-  const JsonValue root = JsonParser(read_file(path)).parse();
+  const JsonValue root = JsonParser(read_file(path, "input")).parse();
   std::printf("## Metrics digest\n\n");
   if (const JsonValue* gauges = root.find("gauges");
       gauges != nullptr && !gauges->object.empty()) {
@@ -681,7 +655,7 @@ std::string format_number(double v) {
 }
 
 int print_decision_trail(const std::string& path, int max_trail) {
-  const std::string text = read_file(path);
+  const std::string text = read_file(path, "input");
   std::istringstream in(text);
   std::string line;
   std::map<std::string, int> counts;  // "category/action" -> count
@@ -758,7 +732,13 @@ int run_inspect(int argc, char** argv) {
     } else if (auto v3 = flag_value(argv[i], "--decisions")) {
       opt.decisions_path = *v3;
     } else if (auto v4 = flag_value(argv[i], "--max-trail")) {
-      opt.max_trail = std::atoi(v4->c_str());
+      const auto n = parse_int(*v4);
+      if (!n || *n < 0) {
+        std::fprintf(stderr, "invalid --max-trail: '%s' (want an integer "
+                     ">= 0)\n", v4->c_str());
+        return 2;
+      }
+      opt.max_trail = *n;
     } else {
       std::fprintf(stderr,
                    "usage: wadc_report inspect [--run=FILE] "
@@ -808,7 +788,13 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     if (auto v = flag_value(argv[i], "--configs")) {
-      opt.configs = std::atoi(v->c_str());
+      const auto n = parse_int(*v);
+      if (!n || *n < 1) {
+        std::fprintf(stderr, "invalid --configs: '%s' (want an integer "
+                     ">= 1)\n", v->c_str());
+        return 2;
+      }
+      opt.configs = *n;
     } else if (auto v2 = flag_value(argv[i], "--out")) {
       opt.out_path = *v2;
     } else {
@@ -834,7 +820,7 @@ int main(int argc, char** argv) {
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
   exp::SweepSpec sweep;
   sweep.configs = opt.configs;
-  sweep.base_seed = exp::env_seed(1000);
+  sweep.base_seed = env_u64("WADC_SEED", 1000);
 
   const auto progress = [](int done, int total) {
     if (done % 100 == 0) {

@@ -16,20 +16,20 @@
 // Both files are byte-identical across same-seed runs:
 //   wadc_run --algorithm=global --trace-out=t.json --metrics-out=m.json
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_config.h"
+#include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
 #include "exp/export.h"
@@ -62,7 +62,7 @@ struct Options {
   double period_seconds = 600;
   int extras = 0;
   int configs = 1;
-  int jobs = -1;  // -1 = unset (resolve via WADC_JOBS); 0 = all hw threads
+  int jobs = 0;  // worker threads; 0 = unset (exp::resolve_jobs)
   std::uint64_t seed = 1000;
   std::uint64_t library_seed = 2026;
   bool csv = false;
@@ -147,56 +147,61 @@ void usage() {
       "  --csv                  machine-readable output\n");
 }
 
-std::optional<std::string> flag_value(const char* arg, const char* name) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
-
-// Strict numeric parsing: the whole value must be consumed, so typos like
-// --servers=8x or --period=fast are rejected instead of silently becoming 0.
-bool to_int(const std::string& s, const char* flag, int& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || errno != 0 || v < INT_MIN || v > INT_MAX) {
-    std::fprintf(stderr, "invalid integer for %s: '%s'\n", flag, s.c_str());
+// Strict numeric parsing (common/parse.h): the whole value must be one
+// number, so typos like --servers=8x or --period=fast are rejected instead
+// of silently becoming 0.
+template <class T>
+bool to_number(const std::string& s, const char* flag, T& out) {
+  std::optional<T> v;
+  if constexpr (std::is_same_v<T, int>) v = parse_int(s);
+  else if constexpr (std::is_same_v<T, std::uint64_t>) v = parse_u64(s);
+  else v = parse_double(s);
+  if (!v) {
+    std::fprintf(stderr, "invalid %s for %s: '%s'\n",
+                 std::is_same_v<T, double> ? "number" : "integer", flag,
+                 s.c_str());
     return false;
   }
-  out = static_cast<int>(v);
+  out = *v;
   return true;
 }
 
-bool to_u64(const std::string& s, const char* flag, std::uint64_t& out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || errno != 0 || s[0] == '-') {
-    std::fprintf(stderr, "invalid integer for %s: '%s'\n", flag, s.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-bool to_double(const std::string& s, const char* flag, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || *end != '\0' || errno != 0) {
-    std::fprintf(stderr, "invalid number for %s: '%s'\n", flag, s.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
+// Flags that take their value as text. `needs` names what an empty value
+// lacks (--trace-out= is an error); null lets the value be empty.
+struct TextFlag {
+  const char* name;
+  std::string Options::*field;
+  const char* needs;
+};
+constexpr TextFlag kTextFlags[] = {
+    {"--trace-set", &Options::trace_set_path, nullptr},
+    {"--cache-spec", &Options::cache_spec, "a spec string"},
+    {"--cache-capacity", &Options::cache_capacity, "a byte count"},
+    {"--fault-spec", &Options::fault_spec_path, "a file path"},
+    {"--sessions-spec", &Options::sessions_spec_path, "a file path"},
+    {"--dump-traces", &Options::dump_traces_path, nullptr},
+    {"--dump-run", &Options::dump_run_path, nullptr},
+    {"--trace-out", &Options::trace_out_path, "a file path"},
+    {"--metrics-out", &Options::metrics_out_path, "a file path"},
+    {"--timeline-out", &Options::timeline_out_path, "a file path"},
+    {"--decisions-out", &Options::decisions_out_path, "a file path"},
+    {"--profile-out", &Options::profile_out_path, "a file path"},
+    {"--bench-out", &Options::bench_out_path, "a file path"},
+};
 
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (auto v = flag_value(arg, "--algorithm")) {
+    const auto text = std::find_if(
+        std::begin(kTextFlags), std::end(kTextFlags),
+        [arg](const TextFlag& f) { return flag_value(arg, f.name); });
+    if (text != std::end(kTextFlags)) {
+      opt.*text->field = *flag_value(arg, text->name);
+      if ((opt.*text->field).empty() && text->needs != nullptr) {
+        std::fprintf(stderr, "%s requires %s\n", text->name, text->needs);
+        return false;
+      }
+    } else if (auto v = flag_value(arg, "--algorithm")) {
       if (*v == "download-all") {
         opt.algorithm = core::AlgorithmKind::kDownloadAll;
       } else if (*v == "one-shot") {
@@ -224,15 +229,15 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (auto vts = flag_value(arg, "--time-scale")) {
-      if (!to_double(*vts, "--time-scale", opt.time_scale)) return false;
+      if (!to_number(*vts, "--time-scale", opt.time_scale)) return false;
       if (opt.time_scale <= 0) {
         std::fprintf(stderr, "--time-scale must be positive\n");
         return false;
       }
     } else if (auto v2 = flag_value(arg, "--servers")) {
-      if (!to_int(*v2, "--servers", opt.servers)) return false;
+      if (!to_number(*v2, "--servers", opt.servers)) return false;
     } else if (auto v3 = flag_value(arg, "--iterations")) {
-      if (!to_int(*v3, "--iterations", opt.iterations)) return false;
+      if (!to_number(*v3, "--iterations", opt.iterations)) return false;
     } else if (auto v4 = flag_value(arg, "--shape")) {
       if (*v4 == "binary") {
         opt.shape = core::TreeShape::kCompleteBinary;
@@ -245,36 +250,23 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (auto v5 = flag_value(arg, "--period")) {
-      if (!to_double(*v5, "--period", opt.period_seconds)) return false;
+      if (!to_number(*v5, "--period", opt.period_seconds)) return false;
     } else if (auto v6 = flag_value(arg, "--extras")) {
-      if (!to_int(*v6, "--extras", opt.extras)) return false;
+      if (!to_number(*v6, "--extras", opt.extras)) return false;
     } else if (auto v7 = flag_value(arg, "--configs")) {
-      if (!to_int(*v7, "--configs", opt.configs)) return false;
+      if (!to_number(*v7, "--configs", opt.configs)) return false;
     } else if (auto vj = flag_value(arg, "--jobs")) {
-      if (!to_int(*vj, "--jobs", opt.jobs)) return false;
-      if (opt.jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0 (0 = all hardware "
-                     "threads)\n");
+      const auto jobs = exp::parse_jobs(*vj);
+      if (!jobs) {
+        std::fprintf(stderr, "invalid --jobs: '%s' (want an integer in "
+                     "[0, 2^20]; 0 = all hardware threads)\n", vj->c_str());
         return false;
       }
+      opt.jobs = *jobs;
     } else if (auto v8 = flag_value(arg, "--seed")) {
-      if (!to_u64(*v8, "--seed", opt.seed)) return false;
+      if (!to_number(*v8, "--seed", opt.seed)) return false;
     } else if (auto v9 = flag_value(arg, "--library-seed")) {
-      if (!to_u64(*v9, "--library-seed", opt.library_seed)) return false;
-    } else if (auto v10 = flag_value(arg, "--trace-set")) {
-      opt.trace_set_path = *v10;
-    } else if (auto vcs = flag_value(arg, "--cache-spec")) {
-      if (vcs->empty()) {
-        std::fprintf(stderr, "--cache-spec requires a spec string\n");
-        return false;
-      }
-      opt.cache_spec = *vcs;
-    } else if (auto vcc = flag_value(arg, "--cache-capacity")) {
-      if (vcc->empty()) {
-        std::fprintf(stderr, "--cache-capacity requires a byte count\n");
-        return false;
-      }
-      opt.cache_capacity = *vcc;
+      if (!to_number(*v9, "--library-seed", opt.library_seed)) return false;
     } else if (auto vcp = flag_value(arg, "--cache-policy")) {
       if (!cache::parse_eviction_policy(*vcp)) {
         std::fprintf(stderr, "unknown cache policy '%s' (want lru or cost)\n",
@@ -282,48 +274,14 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
       opt.cache_policy = *vcp;
-    } else if (auto vf = flag_value(arg, "--fault-spec")) {
-      if (vf->empty()) {
-        std::fprintf(stderr, "--fault-spec requires a file path\n");
-        return false;
-      }
-      opt.fault_spec_path = *vf;
-    } else if (auto vs = flag_value(arg, "--sessions-spec")) {
-      if (vs->empty()) {
-        std::fprintf(stderr, "--sessions-spec requires a file path\n");
-        return false;
-      }
-      opt.sessions_spec_path = *vs;
     } else if (auto vn = flag_value(arg, "--num-clients")) {
-      if (!to_int(*vn, "--num-clients", opt.num_clients)) return false;
+      if (!to_number(*vn, "--num-clients", opt.num_clients)) return false;
       if (opt.num_clients < 1) {
         std::fprintf(stderr, "--num-clients must be >= 1\n");
         return false;
       }
-    } else if (auto v11 = flag_value(arg, "--dump-traces")) {
-      opt.dump_traces_path = *v11;
-    } else if (auto v12 = flag_value(arg, "--dump-run")) {
-      opt.dump_run_path = *v12;
-    } else if (auto v13 = flag_value(arg, "--trace-out")) {
-      if (v13->empty()) {
-        std::fprintf(stderr, "--trace-out requires a file path\n");
-        return false;
-      }
-      opt.trace_out_path = *v13;
-    } else if (auto v14 = flag_value(arg, "--metrics-out")) {
-      if (v14->empty()) {
-        std::fprintf(stderr, "--metrics-out requires a file path\n");
-        return false;
-      }
-      opt.metrics_out_path = *v14;
-    } else if (auto vt = flag_value(arg, "--timeline-out")) {
-      if (vt->empty()) {
-        std::fprintf(stderr, "--timeline-out requires a file path\n");
-        return false;
-      }
-      opt.timeline_out_path = *vt;
     } else if (auto vti = flag_value(arg, "--timeline-interval")) {
-      if (!to_double(*vti, "--timeline-interval",
+      if (!to_number(*vti, "--timeline-interval",
                      opt.timeline_interval_seconds)) {
         return false;
       }
@@ -331,24 +289,6 @@ bool parse(int argc, char** argv, Options& opt) {
         std::fprintf(stderr, "--timeline-interval must be positive\n");
         return false;
       }
-    } else if (auto vd = flag_value(arg, "--decisions-out")) {
-      if (vd->empty()) {
-        std::fprintf(stderr, "--decisions-out requires a file path\n");
-        return false;
-      }
-      opt.decisions_out_path = *vd;
-    } else if (auto vp = flag_value(arg, "--profile-out")) {
-      if (vp->empty()) {
-        std::fprintf(stderr, "--profile-out requires a file path\n");
-        return false;
-      }
-      opt.profile_out_path = *vp;
-    } else if (auto v15 = flag_value(arg, "--bench-out")) {
-      if (v15->empty()) {
-        std::fprintf(stderr, "--bench-out requires a file path\n");
-        return false;
-      }
-      opt.bench_out_path = *v15;
     } else if (std::strcmp(arg, "--csv") == 0) {
       opt.csv = true;
     } else if (std::strcmp(arg, "--no-baseline") == 0) {
@@ -390,22 +330,15 @@ bool parse(int argc, char** argv, Options& opt) {
                  "are meaningless with it\n");
     return false;
   }
-  if (opt.backend == exp::Backend::kTcp && opt.jobs > 1) {
+  if (opt.backend == exp::Backend::kTcp) {
     // Every tcp run opens a full loopback socket mesh and paces against the
     // one wall clock; concurrent runs would contend for both.
-    std::fprintf(stderr, "note: --backend=tcp forces --jobs=1\n");
+    if (opt.jobs > 1) {
+      std::fprintf(stderr, "note: --backend=tcp forces --jobs=1\n");
+    }
     opt.jobs = 1;
   }
   return true;
-}
-
-// Worker-thread count for the configuration runs (shared by both modes).
-int resolve_run_jobs(const Options& opt) {
-  if (opt.backend == exp::Backend::kTcp) return 1;
-  return opt.jobs < 0    ? exp::resolve_jobs(0)
-         : opt.jobs == 0 ? static_cast<int>(std::max(
-                               1u, std::thread::hardware_concurrency()))
-                         : opt.jobs;
 }
 
 // Per-run observability sinks (attached to the final configuration's run)
@@ -494,7 +427,7 @@ int run_session_mode(const Options& opt, const exp::ExperimentSpec& base_spec,
   const bool want_obs = RunObs::wanted(opt);
   RunObs run_obs;
 
-  const int jobs = resolve_run_jobs(opt);
+  const int jobs = exp::resolve_jobs(opt.jobs);
   std::vector<session::SessionStats> outcomes(
       static_cast<std::size_t>(opt.configs));
   const exp::WallTimer timer;
@@ -590,7 +523,7 @@ int main(int argc, char** argv) {
       library.emplace(trace::load_trace_set_file(opt.trace_set_path));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "failed to load traces: %s\n", e.what());
-      return 1;
+      return 2;
     }
   } else {
     library.emplace(trace::TraceLibraryParams{}, opt.library_seed);
@@ -724,7 +657,7 @@ int main(int argc, char** argv) {
   // independent job; results land in index-keyed slots and are printed in
   // configuration order afterwards, so output is byte-identical for any
   // --jobs value.
-  const int jobs = resolve_run_jobs(opt);
+  const int jobs = exp::resolve_jobs(opt.jobs);
   struct ConfigOutcome {
     double base_time = 0;
     exp::RunResult run;
