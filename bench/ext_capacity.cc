@@ -1,10 +1,10 @@
 // Extension: saturation capacity of the session runtime under overload
 // control. An open-loop Poisson source ramps the arrival rate (doubling per
 // step) over one shared network and the harness compares admission policies:
-// unbounded admission, bandwidth-aware deferral, load shedding, deadline-
-// aware rejection, and graceful degradation. For each (policy, rate) cell it
-// reports goodput (completed sessions per simulated hour), the p95 response
-// time of *admitted* sessions, and the shed/deferred/degraded fractions —
+// unbounded admission, bandwidth-aware deferral, load shedding, and deadline-
+// aware rejection. For each (policy, rate) cell it reports goodput
+// (completed sessions per simulated hour), the p95 response time of
+// *admitted* sessions, and the shed/deferred fractions —
 // the saturation curves of docs/EXPERIMENTS.md — and writes them as JSON
 // (default BENCH_ext_capacity.json, deterministic for any --jobs value).
 //
@@ -51,7 +51,6 @@ struct CurvePoint {
   double p95_response_seconds = 0;
   double shed_fraction = 0;
   double deferred_fraction = 0;
-  double degraded_fraction = 0;
 };
 
 }  // namespace
@@ -173,12 +172,6 @@ int main(int argc, char** argv) {
     p.admission.policy = session::AdmissionPolicy::kDeadlineAware;
     p.admission.deadline_seconds = 1.6 * unloaded_p95;
     policies.push_back(p);
-
-    p = PolicyUnderTest{};
-    p.name = "degrade";
-    p.admission.policy = session::AdmissionPolicy::kDegrading;
-    p.admission.max_concurrent = 2;
-    policies.push_back(p);
   }
   const int num_policies = static_cast<int>(policies.size());
 
@@ -204,7 +197,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(num_policies));
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
-      std::vector<double> goodput, p95, shed, deferred, degraded;
+      std::vector<double> goodput, p95, shed, deferred;
       for (int c = 0; c < configs; ++c) {
         const session::SessionStats& st = outcomes[static_cast<std::size_t>(
             (p * steps + k) * configs + c)];
@@ -213,7 +206,6 @@ int main(int argc, char** argv) {
         p95.push_back(st.p95_response_seconds());
         shed.push_back(st.shed_fraction());
         deferred.push_back(st.deferred_count() / n);
-        degraded.push_back(st.degraded_count() / n);
       }
       CurvePoint pt;
       pt.rate_per_hour = rates[static_cast<std::size_t>(k)];
@@ -221,7 +213,6 @@ int main(int argc, char** argv) {
       pt.p95_response_seconds = trace::mean_of(p95);
       pt.shed_fraction = trace::mean_of(shed);
       pt.deferred_fraction = trace::mean_of(deferred);
-      pt.degraded_fraction = trace::mean_of(degraded);
       curves[static_cast<std::size_t>(p)].push_back(pt);
     }
   }
@@ -239,17 +230,16 @@ int main(int argc, char** argv) {
   const double saturation_rate = rates[static_cast<std::size_t>(saturation_step)];
 
   std::printf("policy\trate_per_hour\tx_saturation\tgoodput_per_hour\t"
-              "p95_response_s\tshed_frac\tdeferred_frac\tdegraded_frac\n");
+              "p95_response_s\tshed_frac\tdeferred_frac\n");
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
       const CurvePoint& pt = curves[static_cast<std::size_t>(p)][
           static_cast<std::size_t>(k)];
-      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\t%.3f\t%.3f\n",
+      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\t%.3f\n",
                   policies[static_cast<std::size_t>(p)].name,
                   pt.rate_per_hour, pt.rate_per_hour / saturation_rate,
                   pt.goodput_per_hour, pt.p95_response_seconds,
-                  pt.shed_fraction, pt.deferred_fraction,
-                  pt.degraded_fraction);
+                  pt.shed_fraction, pt.deferred_fraction);
     }
     std::fflush(stdout);
   }
@@ -306,12 +296,10 @@ int main(int argc, char** argv) {
                      "\"goodput_per_hour\": %.6f, "
                      "\"p95_response_seconds\": %.6f, "
                      "\"shed_fraction\": %.6f, "
-                     "\"deferred_fraction\": %.6f, "
-                     "\"degraded_fraction\": %.6f}%s\n",
+                     "\"deferred_fraction\": %.6f}%s\n",
                      pt.rate_per_hour, pt.goodput_per_hour,
                      pt.p95_response_seconds, pt.shed_fraction,
-                     pt.deferred_fraction, pt.degraded_fraction,
-                     k + 1 < steps ? "," : "");
+                     pt.deferred_fraction, k + 1 < steps ? "," : "");
       }
       std::fprintf(f, "    ]}%s\n", p + 1 < num_policies ? "," : "");
     }

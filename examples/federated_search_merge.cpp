@@ -14,8 +14,9 @@
 //
 //   ./federated_search_merge [config-seed]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/parse.h"
 #include "dataflow/engine.h"
 #include "exp/experiment.h"
 #include "trace/library.h"
@@ -23,8 +24,14 @@
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  const std::optional<std::uint64_t> seed_arg =
+      argc > 1 ? parse_u64(argv[1]) : std::optional<std::uint64_t>(11);
+  if (!seed_arg) {
+    std::fprintf(stderr, "federated_search_merge: invalid config seed '%s'\n",
+                 argv[1]);
+    return 2;
+  }
+  const std::uint64_t seed = *seed_arg;
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 

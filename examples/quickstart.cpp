@@ -7,8 +7,9 @@
 // This exercises the whole public API: trace synthesis, network
 // configuration sampling, and the dataflow engine running each algorithm.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/parse.h"
 #include "core/algorithm_kind.h"
 #include "exp/experiment.h"
 #include "trace/library.h"
@@ -16,8 +17,13 @@
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t config_seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  const std::optional<std::uint64_t> seed_arg =
+      argc > 1 ? parse_u64(argv[1]) : std::optional<std::uint64_t>(7);
+  if (!seed_arg) {
+    std::fprintf(stderr, "quickstart: invalid config seed '%s'\n", argv[1]);
+    return 2;
+  }
+  const std::uint64_t config_seed = *seed_arg;
 
   // A pool of synthetic two-day Internet bandwidth traces (the stand-in for
   // the paper's measurement study; see DESIGN.md).

@@ -10,8 +10,9 @@
 //
 //   ./satellite_composition [config-seed] [period-seconds]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/parse.h"
 #include "dataflow/engine.h"
 #include "exp/network_config.h"
 #include "monitor/monitoring_system.h"
@@ -22,9 +23,24 @@
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  const double period = argc > 2 ? std::atof(argv[2]) : 600.0;
+  const std::optional<std::uint64_t> seed_arg =
+      argc > 1 ? parse_u64(argv[1]) : std::optional<std::uint64_t>(42);
+  if (!seed_arg) {
+    std::fprintf(stderr, "satellite_composition: invalid config seed '%s'\n",
+                 argv[1]);
+    return 2;
+  }
+  const std::optional<double> period_arg =
+      argc > 2 ? parse_double(argv[2]) : std::optional<double>(600.0);
+  if (!period_arg || *period_arg <= 0) {
+    std::fprintf(stderr,
+                 "satellite_composition: invalid period '%s' (want seconds "
+                 "> 0)\n",
+                 argv[2]);
+    return 2;
+  }
+  const std::uint64_t seed = *seed_arg;
+  const double period = *period_arg;
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 

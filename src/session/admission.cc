@@ -8,8 +8,6 @@ const char* admission_outcome_name(AdmissionOutcome outcome) {
   switch (outcome) {
     case AdmissionOutcome::kAdmit:
       return "admit";
-    case AdmissionOutcome::kAdmitDegraded:
-      return "degrade";
     case AdmissionOutcome::kDefer:
       return "defer";
     case AdmissionOutcome::kShed:
@@ -35,7 +33,6 @@ bool AdmissionController::may_start(sim::SimTime now,
   switch (params_.policy) {
     case AdmissionPolicy::kUnbounded:
     case AdmissionPolicy::kDeadlineAware:
-    case AdmissionPolicy::kDegrading:
       return true;
     case AdmissionPolicy::kFixedCap:
     case AdmissionPolicy::kLoadShedding:
@@ -129,19 +126,9 @@ AdmissionDecision AdmissionController::request(int id, sim::SimTime now,
       }
       break;
     }
-    case AdmissionPolicy::kDegrading:
-      if (running_ < params_.max_concurrent) {
-        d.outcome = AdmissionOutcome::kAdmit;
-        d.reason = "cap-free";
-      } else {
-        d.outcome = AdmissionOutcome::kAdmitDegraded;
-        d.reason = "over-cap";
-      }
-      break;
   }
   switch (d.outcome) {
     case AdmissionOutcome::kAdmit:
-    case AdmissionOutcome::kAdmitDegraded:
       ++running_;
       break;
     case AdmissionOutcome::kDefer:

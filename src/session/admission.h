@@ -1,9 +1,8 @@
 // Admission control for concurrent query sessions.
 //
-// The controller decides, for each arriving session, one of four outcomes
-// (the overload taxonomy of session/overload.h): admit now, admit in
-// degraded engine mode, defer to the FIFO queue, or shed outright. Six
-// policies (session_spec.h):
+// The controller decides, for each arriving session, one of three outcomes
+// (the overload taxonomy of session/overload.h): admit now, defer to the
+// FIFO queue, or shed outright. Five policies (session_spec.h):
 //
 //   unbounded  — every session starts on arrival;
 //   cap N      — at most N sessions run concurrently; arrivals beyond the
@@ -25,10 +24,7 @@
 //                system admits (nothing to contend with, and the session's
 //                own traffic warms the bandwidth cache), a busy one sheds —
 //                admitting blind into existing load is how cold-start
-//                pileups blow every deadline at once;
-//   degrade M  — graceful degradation: beyond M running sessions, arrivals
-//                are still admitted but in degraded engine mode (one-shot
-//                placement, no adaptive change-over).
+//                pileups blow every deadline at once.
 //
 // The controller is pure bookkeeping — it never touches the simulation. The
 // SessionManager drives it from arrival events, session-completion
@@ -49,10 +45,9 @@ namespace wadc::session {
 
 // What the controller decided for one arriving session.
 enum class AdmissionOutcome {
-  kAdmit,          // start now, full fidelity
-  kAdmitDegraded,  // start now, degraded (one-shot) engine mode
-  kDefer,          // park in the FIFO queue
-  kShed,           // reject outright; the session never runs
+  kAdmit,  // start now
+  kDefer,  // park in the FIFO queue
+  kShed,   // reject outright; the session never runs
 };
 
 const char* admission_outcome_name(AdmissionOutcome outcome);
@@ -85,9 +80,9 @@ class AdmissionController {
 
   // An arriving session asks to start at simulated time `now`.
   // `deadline_seconds` is the session's own deadline (0 = the policy
-  // default). kAdmit / kAdmitDegraded count the session as running;
-  // kDefer queues it (it comes back from on_completed / on_recheck);
-  // kShed drops it — the controller forgets it immediately.
+  // default). kAdmit counts the session as running; kDefer queues it (it
+  // comes back from on_completed / on_recheck); kShed drops it — the
+  // controller forgets it immediately.
   AdmissionDecision request(int id, sim::SimTime now,
                             double deadline_seconds = 0);
 
@@ -118,7 +113,7 @@ class AdmissionController {
   };
 
   // May a queued or arriving session start right now? (Policies without a
-  // queue — unbounded, shed, deadline, degrade — never consult this for
+  // queue — unbounded, shed, deadline — never consult this for
   // arrivals; it drives queue drains.)
   bool may_start(sim::SimTime now, sim::SimTime queued_at) const;
   std::vector<int> drain_queue(sim::SimTime now);

@@ -13,9 +13,7 @@
 // Outcome taxonomy (docs/SESSIONS.md): every arriving session ends in
 // exactly one admission outcome —
 //
-//   admitted  — started immediately at full fidelity;
-//   degraded  — started immediately, but with its engine forced into the
-//               cheap one-shot mode (no adaptive change-over);
+//   admitted  — started immediately;
 //   deferred  — parked in the FIFO queue; later re-decided (every deferral
 //               is eventually followed by an admission, bounded by
 //               AdmissionParams::max_defer_seconds);

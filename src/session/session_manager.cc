@@ -57,7 +57,6 @@ SessionManager::SessionManager(sim::Simulation& sim, net::Network& network,
     admitted_counter_ = &obs_.metrics->counter("session.admitted");
     deferred_counter_ = &obs_.metrics->counter("session.deferred");
     shed_counter_ = &obs_.metrics->counter("session.shed");
-    degraded_counter_ = &obs_.metrics->counter("session.degraded");
     completed_counter_ = &obs_.metrics->counter("session.completed");
     queue_seconds_hist_ = &obs_.metrics->histogram(
         "session.queue_seconds", obs::exponential_buckets(1, 2, 24));
@@ -185,10 +184,7 @@ void SessionManager::begin_session(int client, int spec_id,
       d.predicted_response_seconds;
   switch (d.outcome) {
     case AdmissionOutcome::kAdmit:
-      admit(id, /*degraded=*/false, d.reason, d.predicted_response_seconds);
-      break;
-    case AdmissionOutcome::kAdmitDegraded:
-      admit(id, /*degraded=*/true, d.reason, d.predicted_response_seconds);
+      admit(id, d.reason, d.predicted_response_seconds);
       break;
     case AdmissionOutcome::kDefer:
       sessions_[static_cast<std::size_t>(id)].record.deferred = true;
@@ -219,20 +215,17 @@ void SessionManager::begin_session(int client, int spec_id,
   }
 }
 
-void SessionManager::admit(int id, bool degraded, const char* reason,
+void SessionManager::admit(int id, const char* reason,
                            double predicted_seconds) {
   Session& s = sessions_[static_cast<std::size_t>(id)];
   s.record.admit_seconds = sim_.now();
-  s.record.degraded = degraded;
   if (admitted_counter_) admitted_counter_->add();
-  if (degraded && degraded_counter_) degraded_counter_->add();
   if (queue_seconds_hist_) {
     queue_seconds_hist_->observe(s.record.queue_seconds());
   }
-  trace_session_event(degraded ? "degrade" : "admit", id);
+  trace_session_event("admit", id);
   if (obs_.decisions) {
-    obs_.decisions->record(sim_.now(), "admission",
-                           degraded ? "degrade" : "admit", id,
+    obs_.decisions->record(sim_.now(), "admission", "admit", id,
                            {{"reason", reason},
                             {"predicted_s", predicted_seconds},
                             {"queue_s", s.record.queue_seconds()},
@@ -243,7 +236,6 @@ void SessionManager::admit(int id, bool degraded, const char* reason,
   dataflow::EngineParams params = engine_base_;
   params.session_id = id;
   params.seed = session_seed(id);
-  params.degraded_mode = degraded;
   s.engine = std::make_unique<dataflow::Engine>(sim_, network_, monitoring_,
                                                 tree_, workload_, params);
   s.engine->start_detached([this, id] { on_session_done(id); });
@@ -283,7 +275,7 @@ void SessionManager::on_session_done(int id) {
   maybe_issue_next_query(s.record.client);
 
   for (const int next : admission_.on_completed(sim_.now())) {
-    admit(next, /*degraded=*/false, "dequeued", -1);
+    admit(next, "dequeued", -1);
   }
   maybe_schedule_recheck();
 
@@ -320,7 +312,7 @@ void SessionManager::maybe_schedule_recheck() {
 void SessionManager::on_recheck() {
   recheck_pending_ = false;
   for (const int id : admission_.on_recheck(sim_.now())) {
-    admit(id, /*degraded=*/false, "dequeued", -1);
+    admit(id, "dequeued", -1);
   }
   maybe_schedule_recheck();
 }

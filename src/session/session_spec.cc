@@ -20,8 +20,6 @@ const char* admission_policy_name(AdmissionPolicy policy) {
       return "shed";
     case AdmissionPolicy::kDeadlineAware:
       return "deadline";
-    case AdmissionPolicy::kDegrading:
-      return "degrade";
   }
   return "?";
 }
@@ -130,12 +128,6 @@ std::string SessionSpec::validate() const {
                std::to_string(admission.deadline_seconds);
       }
       break;
-    case AdmissionPolicy::kDegrading:
-      if (admission.max_concurrent < 1) {
-        return "degrade cap must be >= 1, got " +
-               std::to_string(admission.max_concurrent);
-      }
-      break;
   }
   return {};
 }
@@ -216,8 +208,8 @@ SessionSpec parse_session_spec(const std::string& text) {
           in.next_double("deferral cap seconds");
     } else if (keyword == "admission") {
       const std::string_view policy =
-          in.next_word("'unbounded', 'cap', 'bandwidth', 'shed', "
-                       "'deadline' or 'degrade'");
+          in.next_word("'unbounded', 'cap', 'bandwidth', 'shed' or "
+                       "'deadline'");
       if (policy == "unbounded") {
         spec.admission.policy = AdmissionPolicy::kUnbounded;
       } else if (policy == "cap") {
@@ -241,10 +233,6 @@ SessionSpec parse_session_spec(const std::string& text) {
       } else if (policy == "deadline") {
         spec.admission.policy = AdmissionPolicy::kDeadlineAware;
         spec.admission.deadline_seconds = in.next_double("deadline seconds");
-      } else if (policy == "degrade") {
-        spec.admission.policy = AdmissionPolicy::kDegrading;
-        spec.admission.max_concurrent =
-            in.next_int("max concurrent sessions");
       } else {
         in.fail("unknown admission policy '" + std::string(policy) + "'");
       }

@@ -27,9 +27,6 @@
 //                                            # their deadline (default
 //                                            # <deadline_s>, overridable
 //                                            # per session line)
-//   admission degrade <max_concurrent>       # beyond the cap, admit but
-//                                            # force the cheap one-shot
-//                                            # engine mode
 //   defer_cap <seconds>                      # bound on bandwidth-aware
 //                                            # deferral (default 900)
 //
@@ -43,7 +40,7 @@
 namespace wadc::session {
 
 // How the admission controller treats an arriving session. The first three
-// are the original policies; the last three are the overload-control
+// are the original policies; the last two are the overload-control
 // policies (docs/SESSIONS.md "Overload control").
 enum class AdmissionPolicy {
   kUnbounded,       // start every session the moment it arrives
@@ -51,14 +48,13 @@ enum class AdmissionPolicy {
   kBandwidthAware,  // defer while measured client-link bandwidth < threshold
   kLoadShedding,    // cap + bounded queue; beyond both, shed (reject)
   kDeadlineAware,   // shed sessions predicted to miss their deadline
-  kDegrading,       // beyond the cap, admit in degraded (one-shot) mode
 };
 
 const char* admission_policy_name(AdmissionPolicy policy);
 
 struct AdmissionParams {
   AdmissionPolicy policy = AdmissionPolicy::kUnbounded;
-  int max_concurrent = 4;        // kFixedCap / kLoadShedding / kDegrading
+  int max_concurrent = 4;        // kFixedCap / kLoadShedding
   double min_bandwidth = 0;      // bytes/second (kBandwidthAware)
   double recheck_seconds = 30;   // kBandwidthAware re-evaluation period
   // kBandwidthAware forward-progress bound: a deferred session is force-

@@ -35,6 +35,11 @@ printf 'session 0\nadmission cap 0\n' > "$TMP/bad-cap.sessions"
 expect_exit 2 "cap 0 rejected by validation" \
   --sessions-spec="$TMP/bad-cap.sessions" --servers=2 --iterations=4
 
+printf 'session 0\nsession 1\nadmission degrade 1\n' \
+  > "$TMP/degrade.sessions"
+expect_exit 2 "unknown admission policy 'degrade'" \
+  --sessions-spec="$TMP/degrade.sessions" --servers=2 --iterations=4
+
 printf '# only comments\n' > "$TMP/empty.sessions"
 expect_exit 2 "empty spec" \
   --sessions-spec="$TMP/empty.sessions" --servers=2 --iterations=4
@@ -96,7 +101,7 @@ if ! grep -q '^config_seed,algorithm,policy,sessions,' "$TMP/out"; then
   fail=1
 fi
 
-if ! grep -q 'shed,deferred,degraded,goodput_per_hour' "$TMP/out"; then
+if ! grep -q 'shed,deferred,goodput_per_hour' "$TMP/out"; then
   echo "FAIL: per-outcome columns missing from session CSV header:" >&2
   head -3 "$TMP/out" >&2
   fail=1
@@ -113,12 +118,6 @@ printf 'session 0\nsession 1 deadline=9000\nadmission deadline 4000\n' \
   > "$TMP/deadline.sessions"
 expect_exit 0 "deadline-policy session run" \
   --sessions-spec="$TMP/deadline.sessions" --servers=2 --iterations=4 \
-  --configs=1 --seed=1000 --csv
-
-printf 'session 0\nsession 1\nadmission degrade 1\n' \
-  > "$TMP/degrade.sessions"
-expect_exit 0 "degrade-policy session run" \
-  --sessions-spec="$TMP/degrade.sessions" --servers=2 --iterations=4 \
   --configs=1 --seed=1000 --csv
 
 if [ "$fail" = 0 ]; then

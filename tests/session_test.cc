@@ -1,6 +1,6 @@
 // Tests for the multi-client session runtime: spec parsing/validation,
-// the admission controller's six policies (including the overload-control
-// trio: shedding, deadline-aware, degrading), the response predictor, the
+// the admission controller's five policies (including the overload-control
+// pair: shedding, deadline-aware), the response predictor, the
 // bounded-deferral guarantee, the aggregate metrics, and end-to-end session
 // experiments (determinism, contention, closed loop, overload outcomes).
 #include <gtest/gtest.h>
@@ -111,13 +111,6 @@ TEST(SessionSpecParse, OverloadPolicies) {
   EXPECT_EQ(deadline.admission.policy, AdmissionPolicy::kDeadlineAware);
   EXPECT_EQ(deadline.admission.deadline_seconds, 1800.0);
   EXPECT_TRUE(deadline.validate().empty());
-
-  const SessionSpec degrade = parse_session_spec(
-      "open 10 60\n"
-      "admission degrade 4\n");
-  EXPECT_EQ(degrade.admission.policy, AdmissionPolicy::kDegrading);
-  EXPECT_EQ(degrade.admission.max_concurrent, 4);
-  EXPECT_TRUE(degrade.validate().empty());
 }
 
 TEST(SessionSpecParse, MalformedSpecsThrowWithLineNumber) {
@@ -156,6 +149,15 @@ TEST(SessionSpecParse, MalformedSpecsThrowWithLineNumber) {
               std::string::npos)
         << e.what();
   }
+  // There is no degrade policy: its line is an unknown admission policy.
+  try {
+    parse_session_spec("session 0\nadmission degrade 2\n");
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("session spec line 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SessionSpecParse, RejectsHostileNumbersAndDuplicateIds) {
@@ -182,7 +184,7 @@ TEST(SessionSpecParse, RejectsHostileNumbersAndDuplicateIds) {
                std::runtime_error);
   EXPECT_THROW(parse_session_spec("session 0\nadmission deadline -5\n"),
                std::runtime_error);
-  EXPECT_THROW(parse_session_spec("session 0\nadmission degrade 0\n"),
+  EXPECT_THROW(parse_session_spec("session 0\nadmission degrade 2\n"),
                std::runtime_error);
   // A zero deferral cap would turn bounded deferral into busy admission.
   EXPECT_THROW(
@@ -437,25 +439,6 @@ TEST(AdmissionController, DeadlinePolicyWithoutDeadlineAdmits) {
   EXPECT_STREQ(d.reason, "no-deadline");
 }
 
-TEST(AdmissionController, DegradingAdmitsBeyondCapInDegradedMode) {
-  AdmissionParams params;
-  params.policy = AdmissionPolicy::kDegrading;
-  params.max_concurrent = 2;
-  AdmissionController ctrl(params, nullptr);
-  EXPECT_EQ(ctrl.request(0, 0).outcome, AdmissionOutcome::kAdmit);
-  EXPECT_EQ(ctrl.request(1, 0).outcome, AdmissionOutcome::kAdmit);
-  const AdmissionDecision d = ctrl.request(2, 0);
-  EXPECT_EQ(d.outcome, AdmissionOutcome::kAdmitDegraded);
-  EXPECT_STREQ(d.reason, "over-cap");
-  EXPECT_EQ(ctrl.running(), 3);  // degraded sessions count as running
-  EXPECT_EQ(ctrl.queued(), 0);
-
-  // Once below the cap again, arrivals go back to full fidelity.
-  ctrl.on_completed(10);
-  ctrl.on_completed(11);
-  EXPECT_EQ(ctrl.request(3, 12).outcome, AdmissionOutcome::kAdmit);
-}
-
 // ---------------------------------------------------------------------------
 // aggregate metrics
 
@@ -530,13 +513,10 @@ TEST(SessionStats, OutcomeTalliesFold) {
   SessionStats stats;
   SessionRecord deferred = make_record(0, 0, 30, 100, 8);
   deferred.deferred = true;
-  SessionRecord degraded = make_record(1, 0, 0, 80, 8);
-  degraded.degraded = true;
   stats.add(deferred);
-  stats.add(degraded);
+  stats.add(make_record(1, 0, 0, 80, 8));
   stats.add(make_shed_record(2, 0));
   EXPECT_EQ(stats.deferred_count(), 1);
-  EXPECT_EQ(stats.degraded_count(), 1);
   EXPECT_EQ(stats.shed_count(), 1);
   EXPECT_EQ(stats.admitted_count(), 2);
   EXPECT_EQ(stats.completed_count(), 2);
@@ -653,33 +633,6 @@ TEST(RunSessionExperiment, ShedCapZeroRejectsEveryArrival) {
   EXPECT_DOUBLE_EQ(stats.makespan_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(stats.goodput_per_hour(), 0.0);
   EXPECT_DOUBLE_EQ(stats.jain_fairness(), 1.0);
-}
-
-TEST(RunSessionExperiment, DegradedSessionsCompleteWithFullResults) {
-  const auto spec = small_experiment(core::AlgorithmKind::kGlobal);
-  SessionSpec sessions = SessionSpec::concurrent_clients(3);
-  sessions.admission.policy = AdmissionPolicy::kDegrading;
-  sessions.admission.max_concurrent = 1;
-  const SessionStats stats =
-      exp::run_session_experiment(shared_library(), spec, sessions);
-  ASSERT_EQ(stats.completed_count(), 3);
-  EXPECT_EQ(stats.shed_count(), 0);
-  EXPECT_EQ(stats.degraded_count(), 2);
-  // Sessions beyond the cap run degraded (one-shot) but still deliver the
-  // full result set and full per-session stats.
-  EXPECT_FALSE(stats.sessions()[0].degraded);
-  for (std::size_t i = 1; i < stats.sessions().size(); ++i) {
-    const SessionRecord& r = stats.sessions()[i];
-    EXPECT_TRUE(r.degraded);
-    EXPECT_TRUE(r.completed);
-    EXPECT_EQ(r.images, stats.sessions()[0].images);
-    // One-shot mode never relocates after start-up.
-    EXPECT_EQ(r.relocations, 0);
-    EXPECT_GT(r.response_seconds(), 0.0);
-  }
-  // Jain fairness is computed over the admitted (here: all) sessions.
-  EXPECT_GT(stats.jain_fairness(), 0.0);
-  EXPECT_LE(stats.jain_fairness(), 1.0);
 }
 
 TEST(RunSessionExperiment, ClosedLoopRespectsThinkTime) {

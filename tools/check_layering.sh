@@ -121,14 +121,15 @@ while IFS=: read -r file line include; do
 done < <(grep -rn '#include "net/tcp/' src tools --include='*.h' --include='*.cc' 2>/dev/null)
 
 # Strict number parsing lives in src/common/parse.cc alone: no other file
-# in src/, tools/ or bench/ (tests/ and perfbench/ are exempt) may call a
-# text-to-number function, so hand-rolled parsers cannot grow back.
+# in src/, tools/, bench/ or examples/ (tests/ and perfbench/ are exempt) may
+# call a text-to-number function, so hand-rolled parsers cannot grow back.
 parse_calls='\b(strto(l|ll|ul|ull|f|d|ld)|ato(i|l|ll|f)|sto(i|l|ll|ul|ull|f|d|ld)|from_chars|sscanf)\b'
 while IFS=: read -r file line _; do
   [ "$file" = "src/common/parse.cc" ] && continue
   echo "parse violation: $file:$line converts text to a number outside src/common/parse.cc (use common/parse.h)"
   status=1
-done < <(grep -rnE "$parse_calls" src tools bench --include='*.h' --include='*.cc' 2>/dev/null)
+done < <(grep -rnE "$parse_calls" src tools bench examples --include='*.h' \
+           --include='*.cc' --include='*.cpp' 2>/dev/null)
 
 if [ "$status" -eq 0 ]; then
   echo "layering: OK"
