@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "monitor/bandwidth_cache.h"
 #include "net/link_table.h"
@@ -30,8 +31,6 @@ class BandwidthResolver {
   virtual ~BandwidthResolver() = default;
 
   // Bandwidth estimate for {a, b} in bytes/second, or nullopt if unknown.
-  // Implementations record the pairs they were asked about so planning
-  // drivers can see what a real system would have had to measure.
   virtual std::optional<double> bandwidth(net::HostId a, net::HostId b) = 0;
 };
 
@@ -55,8 +54,9 @@ class OracleResolver final : public BandwidthResolver {
   std::set<HostPair> queried_;
 };
 
-// Resolver over one host's monitoring cache. Records misses (pairs with no
-// usable sample) for the driver to probe.
+// Resolver over one host's monitoring cache. Pairs with no usable sample
+// come back as nullopt; the cost model collects them for the driver to
+// probe.
 //
 // A sample is usable if it is within the cache's T_thres timeout, or — when
 // `accept_after` >= 0 — if it was measured at or after that watermark.
@@ -65,33 +65,44 @@ class OracleResolver final : public BandwidthResolver {
 // and a one-shot plan should use every measurement gathered during its own
 // session (§2.1 "uses information available at the beginning of
 // computation") rather than rejecting its own early probes as expired.
+//
+// A resolver lives for one plan round: `now` is fixed and the cache does not
+// change while the planner runs, so each pair's verdict is looked up once
+// and memoized for the resolver's lifetime.
 class CacheResolver final : public BandwidthResolver {
  public:
   CacheResolver(const monitor::BandwidthCache& cache, sim::SimTime now,
                 sim::SimTime accept_after = -1)
-      : cache_(cache), now_(now), accept_after_(accept_after) {}
+      : cache_(cache),
+        now_(now),
+        accept_after_(accept_after),
+        verdicts_(net::pair_count(cache.num_hosts()), kUnresolved) {}
 
   std::optional<double> bandwidth(net::HostId a, net::HostId b) override {
+    double& v = verdicts_[net::pair_index(a, b, cache_.num_hosts())];
+    if (v == kUnresolved) v = resolve(a, b);
+    if (v == kNoSample) return std::nullopt;
+    return v;
+  }
+
+ private:
+  // Verdict markers; a usable bandwidth is always positive.
+  static constexpr double kUnresolved = 0;
+  static constexpr double kNoSample = -1;
+
+  double resolve(net::HostId a, net::HostId b) const {
     auto s = cache_.lookup(a, b, now_);
     if (!s && accept_after_ >= 0) {
       const auto any = cache_.lookup_any_age(a, b);
       if (any && any->measured_at >= accept_after_) s = any;
     }
-    if (!s) {
-      misses_.insert(make_pair_key(a, b));
-      return std::nullopt;
-    }
-    return s->bandwidth;
+    return s ? s->bandwidth : kNoSample;
   }
 
-  const std::set<HostPair>& misses() const { return misses_; }
-  void clear_misses() { misses_.clear(); }
-
- private:
   const monitor::BandwidthCache& cache_;
   sim::SimTime now_;
   sim::SimTime accept_after_;
-  std::set<HostPair> misses_;
+  std::vector<double> verdicts_;  // indexed by pair_index
 };
 
 // Fixed-table resolver for unit tests.

@@ -204,21 +204,6 @@ void CombinationTree::finalize() {
               "root has a parent");
 }
 
-const Child& CombinationTree::left_child(OperatorId op) const {
-  WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
-  return ops_[static_cast<std::size_t>(op)].left;
-}
-
-const Child& CombinationTree::right_child(OperatorId op) const {
-  WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
-  return ops_[static_cast<std::size_t>(op)].right;
-}
-
-OperatorId CombinationTree::parent(OperatorId op) const {
-  WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
-  return ops_[static_cast<std::size_t>(op)].parent;
-}
-
 OperatorId CombinationTree::server_consumer(int server) const {
   WADC_ASSERT(server >= 0 && server < num_servers_, "bad server index");
   return server_consumer_[static_cast<std::size_t>(server)];
@@ -227,11 +212,6 @@ OperatorId CombinationTree::server_consumer(int server) const {
 int CombinationTree::level(OperatorId op) const {
   WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
   return ops_[static_cast<std::size_t>(op)].level;
-}
-
-net::HostId CombinationTree::server_host(int server) const {
-  WADC_ASSERT(server >= 0 && server < num_servers_, "bad server index");
-  return server + 1;
 }
 
 std::string CombinationTree::to_string() const {

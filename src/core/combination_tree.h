@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "net/types.h"
 
 namespace wadc::core {
@@ -65,11 +66,20 @@ class CombinationTree {
   OperatorId root() const { return root_; }
   TreeShape shape() const { return shape_; }
 
-  const Child& left_child(OperatorId op) const;
-  const Child& right_child(OperatorId op) const;
+  const Child& left_child(OperatorId op) const {
+    WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
+    return ops_[static_cast<std::size_t>(op)].left;
+  }
+  const Child& right_child(OperatorId op) const {
+    WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
+    return ops_[static_cast<std::size_t>(op)].right;
+  }
   // Parent operator, or kNoOperator for the root (whose consumer is the
   // client).
-  OperatorId parent(OperatorId op) const;
+  OperatorId parent(OperatorId op) const {
+    WADC_ASSERT(op >= 0 && op < num_operators(), "bad operator id");
+    return ops_[static_cast<std::size_t>(op)].parent;
+  }
   // Operator consuming server s's output.
   OperatorId server_consumer(int server) const;
 
@@ -81,7 +91,10 @@ class CombinationTree {
   int depth() const { return depth_; }
 
   // Host serving leaf s (host 1 + s by construction).
-  net::HostId server_host(int server) const;
+  net::HostId server_host(int server) const {
+    WADC_ASSERT(server >= 0 && server < num_servers_, "bad server index");
+    return server + 1;
+  }
   // Total number of hosts (servers + client).
   int num_hosts() const { return num_servers_ + 1; }
   net::HostId client_host() const { return 0; }

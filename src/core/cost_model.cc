@@ -39,30 +39,32 @@ double CostModel::edge_cost(net::HostId from, net::HostId to,
 
 struct CostModel::EvalState {
   BandwidthResolver* resolver = nullptr;
-  const Placement* placement = nullptr;
-  // Per operator: which child (0 = left, 1 = right) carries the critical
-  // path into this operator.
-  std::vector<int> best_child;
+  struct PerOperator {
+    // Upper bound on the root-to-leaf path cost inside the operator's
+    // subtree, assuming every cross-host edge runs at the pessimistic
+    // bandwidth. Uses host co-location (free to check) but resolves no
+    // bandwidth; filled once, bottom-up, before the search starts.
+    double upper_bound = 0;
+    // Which child (0 = left, 1 = right) carries the critical path into
+    // this operator.
+    int best_child = -1;
+  };
+  std::vector<PerOperator> ops;  // indexed by OperatorId
   std::set<HostPair> unknown_pairs;
   std::uint64_t subtrees_pruned = 0;
   std::uint64_t edges_resolved = 0;
 };
 
-double CostModel::subtree_upper_bound(const Child& child,
-                                      const Placement& p) const {
-  if (child.is_server()) return disk_cost();
-  const OperatorId op = child.index;
-  const net::HostId here = p.location(op);
-  const double pess_edge =
-      params_.startup_seconds +
-      params_.partition_bytes / params_.pessimistic_bandwidth;
-  double best = 0;
-  for (const Child& c : {tree_.left_child(op), tree_.right_child(op)}) {
-    const net::HostId child_host = p.child_host(tree_, c);
-    const double edge = child_host == here ? 0.0 : pess_edge;
-    best = std::max(best, subtree_upper_bound(c, p) + edge);
-  }
-  return best + compute_cost();
+double CostModel::pessimistic_edge_cost() const {
+  return params_.startup_seconds +
+         params_.partition_bytes / params_.pessimistic_bandwidth;
+}
+
+double CostModel::upper_bound(const Child& child,
+                              const EvalState& state) const {
+  return child.is_server()
+             ? disk_cost()
+             : state.ops[static_cast<std::size_t>(child.index)].upper_bound;
 }
 
 double CostModel::exact_subtree_cost(const Child& child, const Placement& p,
@@ -75,13 +77,10 @@ double CostModel::exact_subtree_cost(const Child& child, const Placement& p,
   // Order the two inputs by optimistic upper bound, evaluate the larger
   // first, and skip the other entirely if its bound cannot win.
   double ubs[2];
-  const double pess_edge =
-      params_.startup_seconds +
-      params_.partition_bytes / params_.pessimistic_bandwidth;
   for (int i = 0; i < 2; ++i) {
     const net::HostId ch = p.child_host(tree_, children[i]);
-    ubs[i] = subtree_upper_bound(children[i], p) +
-             (ch == here ? 0.0 : pess_edge);
+    ubs[i] = upper_bound(children[i], state) +
+             (ch == here ? 0.0 : pessimistic_edge_cost());
   }
   const int first = ubs[0] >= ubs[1] ? 0 : 1;
   const int second = 1 - first;
@@ -110,7 +109,7 @@ double CostModel::exact_subtree_cost(const Child& child, const Placement& p,
     ++state.subtrees_pruned;
   }
 
-  state.best_child[static_cast<std::size_t>(op)] = best_idx;
+  state.ops[static_cast<std::size_t>(op)].best_child = best_idx;
   return best + compute_cost();
 }
 
@@ -120,9 +119,19 @@ CostModel::CriticalPathResult CostModel::critical_path(
               "placement does not match tree");
   EvalState state;
   state.resolver = &r;
-  state.placement = &p;
-  state.best_child.assign(static_cast<std::size_t>(tree_.num_operators()),
-                          -1);
+  state.ops.resize(static_cast<std::size_t>(tree_.num_operators()));
+  // Children come before parents in topological order, so one pass fills
+  // every bound from bounds already in the table.
+  for (const OperatorId op : tree_.topological_order()) {
+    const net::HostId here = p.location(op);
+    double best = 0;
+    for (const Child& c : {tree_.left_child(op), tree_.right_child(op)}) {
+      const net::HostId child_host = p.child_host(tree_, c);
+      const double edge = child_host == here ? 0.0 : pessimistic_edge_cost();
+      best = std::max(best, upper_bound(c, state) + edge);
+    }
+    state.ops[static_cast<std::size_t>(op)].upper_bound = best + compute_cost();
+  }
 
   CriticalPathResult result;
   const Child root = Child::op(tree_.root());
@@ -143,7 +152,7 @@ CostModel::CriticalPathResult CostModel::critical_path(
   OperatorId op = tree_.root();
   for (;;) {
     result.path.push_back(op);
-    const int idx = state.best_child[static_cast<std::size_t>(op)];
+    const int idx = state.ops[static_cast<std::size_t>(op)].best_child;
     WADC_ASSERT(idx == 0 || idx == 1, "operator missing best-child mark");
     const Child& c =
         idx == 0 ? tree_.left_child(op) : tree_.right_child(op);

@@ -82,10 +82,12 @@ class CostModel {
  private:
   struct EvalState;
 
-  // Upper bound on the root-to-leaf path cost inside `child`'s subtree,
-  // assuming every cross-host edge runs at the pessimistic bandwidth. Uses
-  // host co-location (free to check) but resolves no bandwidth.
-  double subtree_upper_bound(const Child& child, const Placement& p) const;
+  // Transfer cost of one partition at the pessimistic bandwidth.
+  double pessimistic_edge_cost() const;
+  // The bound-table entry for `child` (disk cost for a server): the
+  // root-to-leaf path cost inside its subtree with every cross-host edge at
+  // the pessimistic bandwidth.
+  double upper_bound(const Child& child, const EvalState& state) const;
 
   // Exact longest path from any server in `child`'s subtree to the top of
   // `child` (inclusive of `child`'s compute if it is an operator).

@@ -4,12 +4,6 @@
 
 namespace wadc::core {
 
-std::size_t Placement::check(OperatorId op) const {
-  WADC_ASSERT(op >= 0 && static_cast<std::size_t>(op) < locations_.size(),
-              "operator id out of range: ", op);
-  return static_cast<std::size_t>(op);
-}
-
 std::vector<OperatorId> Placement::diff(const Placement& other) const {
   WADC_ASSERT(locations_.size() == other.locations_.size(),
               "placements over different trees");

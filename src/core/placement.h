@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "core/combination_tree.h"
 #include "net/types.h"
 
@@ -56,7 +57,11 @@ class Placement {
   std::string to_string() const;
 
  private:
-  std::size_t check(OperatorId op) const;
+  std::size_t check(OperatorId op) const {
+    WADC_ASSERT(op >= 0 && static_cast<std::size_t>(op) < locations_.size(),
+                "operator id out of range: ", op);
+    return static_cast<std::size_t>(op);
+  }
 
   std::vector<net::HostId> locations_;
 };

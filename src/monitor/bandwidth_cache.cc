@@ -1,6 +1,8 @@
 #include "monitor/bandwidth_cache.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -11,18 +13,44 @@ BandwidthCache::BandwidthCache(int num_hosts, sim::SimTime ttl_seconds)
       ttl_(ttl_seconds),
       entries_(net::pair_count(num_hosts)) {
   WADC_ASSERT(ttl_seconds > 0, "non-positive cache TTL");
+  order_.reserve(entries_.size());
+}
+
+std::size_t BandwidthCache::rank(sim::SimTime measured_at,
+                                 std::uint32_t index) const {
+  std::size_t i = 0;
+  for (; i < order_.size(); ++i) {
+    const std::uint32_t x = order_[i];
+    const sim::SimTime t = entries_[x].measured_at;
+    if (t != measured_at ? t < measured_at : x > index) break;
+  }
+  return i;
+}
+
+std::size_t BandwidthCache::position(std::uint32_t index) const {
+  return static_cast<std::size_t>(
+      std::find(order_.begin(), order_.end(), index) - order_.begin());
 }
 
 void BandwidthCache::record(net::HostId a, net::HostId b, double bandwidth,
                             sim::SimTime measured_at) {
   WADC_ASSERT(bandwidth > 0, "non-positive bandwidth measurement");
-  Sample& e = entries_[net::pair_index(a, b, num_hosts_)];
-  if (measured_at > e.measured_at) {
-    if (e.measured_at < 0 && measured_at >= 0) ++live_;
-    e.bandwidth = bandwidth;
-    e.measured_at = measured_at;
-    ++version_;
+  const auto index =
+      static_cast<std::uint32_t>(net::pair_index(a, b, num_hosts_));
+  Sample& e = entries_[index];
+  if (!(measured_at > e.measured_at)) return;  // kept only if newer
+  // Ranked while the entry still holds its older sample, the new slot
+  // comes at or before the entry's own slot.
+  const auto first = order_.begin();
+  const auto to = first + static_cast<std::ptrdiff_t>(rank(measured_at, index));
+  if (e.measured_at >= 0) {
+    const auto from = first + static_cast<std::ptrdiff_t>(position(index));
+    std::rotate(to, from, from + 1);
+  } else if (measured_at >= 0) {
+    order_.insert(to, index);
   }
+  e = Sample{bandwidth, measured_at};
+  ++version_;
 }
 
 std::optional<Sample> BandwidthCache::lookup(net::HostId a, net::HostId b,
@@ -52,26 +80,19 @@ Payload BandwidthCache::freshest_shared(sim::SimTime now,
     return memo_;
   }
 
-  auto fresh = std::make_shared<std::vector<PairSample>>();
-  sim::SimTime oldest_included = sim::kTimeInfinity;
-  for (net::HostId a = 0; a < num_hosts_; ++a) {
-    for (net::HostId b = a + 1; b < num_hosts_; ++b) {
-      const Sample& e = entries_[net::pair_index(a, b, num_hosts_)];
-      if (e.measured_at < 0 || now - e.measured_at > ttl_) continue;
-      fresh->push_back(PairSample{a, b, e});
-    }
-  }
-  std::sort(fresh->begin(), fresh->end(),
-            [](const PairSample& x, const PairSample& y) {
-              if (x.sample.measured_at != y.sample.measured_at) {
-                return x.sample.measured_at > y.sample.measured_at;
-              }
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
-  if (fresh->size() > max_entries) fresh->resize(max_entries);
+  // order_ is newest first, so the unexpired entries are a prefix of it:
+  // stop at the first expired one or at the budget, whichever comes first.
   // Truncation drops the *oldest* entries; they can only re-enter after an
   // included entry expires, which already invalidates the memo.
+  auto fresh = std::make_shared<std::vector<PairSample>>();
+  sim::SimTime oldest_included = sim::kTimeInfinity;
+  const std::size_t limit = std::min(max_entries, order_.size());
+  for (std::size_t i = 0; i < limit; ++i) {
+    const Sample& e = entries_[order_[i]];
+    if (now - e.measured_at > ttl_) break;
+    const auto [a, b] = net::pair_hosts(order_[i], num_hosts_);
+    fresh->push_back(PairSample{a, b, e});
+  }
   if (!fresh->empty()) {
     oldest_included = fresh->back().sample.measured_at + ttl_;
   }
@@ -93,30 +114,38 @@ void BandwidthCache::merge(const std::vector<PairSample>& samples) {
   }
 }
 
-void BandwidthCache::clear(Sample& e) {
-  if (e.measured_at >= 0) --live_;
+void BandwidthCache::clear(std::uint32_t index) {
+  Sample& e = entries_[index];
+  if (e.measured_at >= 0) {
+    order_.erase(order_.begin() +
+                 static_cast<std::ptrdiff_t>(position(index)));
+  }
   e = Sample{};
 }
 
 void BandwidthCache::invalidate(net::HostId a, net::HostId b) {
-  clear(entries_[net::pair_index(a, b, num_hosts_)]);
+  clear(static_cast<std::uint32_t>(net::pair_index(a, b, num_hosts_)));
   ++version_;
 }
 
 void BandwidthCache::invalidate_host(net::HostId h) {
+  // Reset the row first, then compact order_ in one pass.
   for (net::HostId other = 0; other < num_hosts_; ++other) {
     if (other == h) continue;
-    clear(entries_[net::pair_index(h, other, num_hosts_)]);
+    entries_[net::pair_index(h, other, num_hosts_)] = Sample{};
   }
+  std::erase_if(order_,
+                [&](std::uint32_t x) { return entries_[x].measured_at < 0; });
   ++version_;
 }
 
 std::size_t BandwidthCache::unexpired_count(sim::SimTime now) const {
-  std::size_t n = 0;
-  for (const Sample& e : entries_) {
-    if (e.measured_at >= 0 && now - e.measured_at <= ttl_) ++n;
-  }
-  return n;
+  // Unexpired entries are the prefix of order_ (see freshest_shared).
+  const auto fresh = std::partition_point(
+      order_.begin(), order_.end(), [&](std::uint32_t x) {
+        return now - entries_[x].measured_at <= ttl_;
+      });
+  return static_cast<std::size_t>(fresh - order_.begin());
 }
 
 }  // namespace wadc::monitor

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/bandwidth_resolver.h"
@@ -232,6 +236,182 @@ TEST(CriticalPath, PruningStatisticsExposed) {
       model.critical_path(Placement::all_at_client(tree), r);
   EXPECT_GT(cp.edges_resolved, 0u);
   EXPECT_GE(cp.subtrees_pruned, 0u);
+}
+
+// ---- differential check: bound table vs recursive bound -------------------
+
+// Reference: the branch-and-bound critical path with the upper bound
+// recomputed recursively at every level of the search. CostModel's one-pass
+// bound table must give the same result in every bit: the cost, the path
+// and the pairs and counts the search reports.
+class RecursiveBoundSearch {
+ public:
+  RecursiveBoundSearch(const CombinationTree& tree, const CostModel& model,
+                       const Placement& p, BandwidthResolver& r)
+      : tree_(tree),
+        model_(model),
+        p_(p),
+        r_(r),
+        best_child_(static_cast<std::size_t>(tree.num_operators()), -1) {}
+
+  CostModel::CriticalPathResult run() {
+    CostModel::CriticalPathResult out;
+    out.cost = exact(Child::op(tree_.root()));
+    const net::HostId root_host = p_.location(tree_.root());
+    if (root_host != tree_.client_host()) {
+      out.cost += model_.edge_cost(root_host, tree_.client_host(), r_,
+                                   &out.unknown_pairs);
+      ++out.edges_resolved;
+    }
+    out.unknown_pairs.insert(unknown_.begin(), unknown_.end());
+    out.subtrees_pruned = pruned_;
+    out.edges_resolved += resolved_;
+    for (OperatorId op = tree_.root();;) {
+      out.path.push_back(op);
+      const int idx = best_child_[static_cast<std::size_t>(op)];
+      const Child& c = idx == 0 ? tree_.left_child(op) : tree_.right_child(op);
+      if (c.is_server()) {
+        out.critical_server = c.index;
+        break;
+      }
+      op = c.index;
+    }
+    return out;
+  }
+
+ private:
+  double pess_edge() const {
+    const CostModelParams& q = model_.params();
+    return q.startup_seconds + q.partition_bytes / q.pessimistic_bandwidth;
+  }
+
+  double upper_bound(const Child& child) const {
+    if (child.is_server()) return model_.disk_cost();
+    const OperatorId op = child.index;
+    const net::HostId here = p_.location(op);
+    double best = 0;
+    for (const Child& c : {tree_.left_child(op), tree_.right_child(op)}) {
+      const double edge = p_.child_host(tree_, c) == here ? 0.0 : pess_edge();
+      best = std::max(best, upper_bound(c) + edge);
+    }
+    return best + model_.compute_cost();
+  }
+
+  double exact(const Child& child) {
+    if (child.is_server()) return model_.disk_cost();
+    const OperatorId op = child.index;
+    const net::HostId here = p_.location(op);
+    const Child children[2] = {tree_.left_child(op), tree_.right_child(op)};
+    double ubs[2];
+    for (int i = 0; i < 2; ++i) {
+      const net::HostId ch = p_.child_host(tree_, children[i]);
+      ubs[i] = upper_bound(children[i]) + (ch == here ? 0.0 : pess_edge());
+    }
+    const int first = ubs[0] >= ubs[1] ? 0 : 1;
+    const int second = 1 - first;
+    const auto contribution = [&](int i) {
+      const net::HostId ch = p_.child_host(tree_, children[i]);
+      const double sub = exact(children[i]);
+      double edge = 0;
+      if (ch != here) {
+        edge = model_.edge_cost(ch, here, r_, &unknown_);
+        ++resolved_;
+      }
+      return sub + edge;
+    };
+    const double c_first = contribution(first);
+    double best = c_first;
+    int best_idx = first;
+    if (ubs[second] > c_first) {
+      const double c_second = contribution(second);
+      if (c_second > c_first) {
+        best = c_second;
+        best_idx = second;
+      }
+    } else {
+      ++pruned_;
+    }
+    best_child_[static_cast<std::size_t>(op)] = best_idx;
+    return best + model_.compute_cost();
+  }
+
+  const CombinationTree& tree_;
+  const CostModel& model_;
+  const Placement& p_;
+  BandwidthResolver& r_;
+  std::vector<int> best_child_;
+  std::set<HostPair> unknown_;
+  std::uint64_t pruned_ = 0;
+  std::uint64_t resolved_ = 0;
+};
+
+// A random bottom-up merge order over `servers` leaves.
+CombinationTree random_custom_tree(int servers, Rng& rng) {
+  std::vector<Child> frontier;
+  for (int s = 0; s < servers; ++s) frontier.push_back(Child::server(s));
+  std::vector<std::pair<Child, Child>> ops;
+  while (frontier.size() > 1) {
+    const auto take = [&] {
+      const auto i = static_cast<std::size_t>(rng.next_below(frontier.size()));
+      const Child c = frontier[i];
+      frontier.erase(frontier.begin() + static_cast<std::ptrdiff_t>(i));
+      return c;
+    };
+    const Child left = take();
+    const Child right = take();
+    ops.emplace_back(left, right);
+    frontier.push_back(Child::op(static_cast<OperatorId>(ops.size() - 1)));
+  }
+  return CombinationTree::custom(servers, ops);
+}
+
+TEST(CriticalPath, BoundTableMatchesRecursiveBoundBitForBit) {
+  Rng rng(2026);
+  std::uint64_t pruned = 0;
+  std::uint64_t unknown = 0;
+  for (const int servers : {4, 8, 32}) {
+    for (const auto shape : {TreeShape::kCompleteBinary, TreeShape::kLeftDeep,
+                             TreeShape::kRightDeep, TreeShape::kCustom}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const CombinationTree tree =
+            shape == TreeShape::kCustom ? random_custom_tree(servers, rng)
+                                        : CombinationTree::make(shape, servers);
+        const CostModel model(tree, simple_params());
+        const auto hosts = static_cast<std::uint64_t>(tree.num_hosts());
+        // Sparse knowledge: about half the pairs are known, so the search
+        // meets pessimistic fallbacks as well as measured links.
+        MapResolver r;
+        for (net::HostId a = 0; a < tree.num_hosts(); ++a) {
+          for (net::HostId b = a + 1; b < tree.num_hosts(); ++b) {
+            if (rng.bernoulli(0.5)) r.set(a, b, rng.uniform(1e3, 400e3));
+          }
+        }
+        // Draw operator sites from a few hosts on some trials, so that
+        // co-located (free) edges and tied bounds are common too.
+        const std::uint64_t span =
+            trial % 3 == 0 ? std::min<std::uint64_t>(hosts, 3) : hosts;
+        Placement p = Placement::all_at_client(tree);
+        for (OperatorId op = 0; op < tree.num_operators(); ++op) {
+          p.set_location(op, static_cast<net::HostId>(rng.next_below(span)));
+        }
+        const auto got = model.critical_path(p, r);
+        const auto want = RecursiveBoundSearch(tree, model, p, r).run();
+        SCOPED_TRACE(tree.to_string() + " placement " + p.to_string());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost),
+                  std::bit_cast<std::uint64_t>(want.cost));
+        EXPECT_EQ(got.path, want.path);
+        EXPECT_EQ(got.critical_server, want.critical_server);
+        EXPECT_EQ(got.unknown_pairs, want.unknown_pairs);
+        EXPECT_EQ(got.subtrees_pruned, want.subtrees_pruned);
+        EXPECT_EQ(got.edges_resolved, want.edges_resolved);
+        pruned += want.subtrees_pruned;
+        unknown += want.unknown_pairs.size();
+      }
+    }
+  }
+  // The cases exercised both pruning and the pessimistic fallback.
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(unknown, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 // piggybacking and on-demand probes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 #include "monitor/bandwidth_cache.h"
 #include "monitor/monitoring_system.h"
 #include "net/network.h"
@@ -385,6 +392,159 @@ TEST(MonitoringSystem, ProbeAgainstDeadHostTimesOutInsteadOfHanging) {
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(f.monitoring->passive_samples(), 0u);
   EXPECT_GE(f.sim.now(), 30.0);
+}
+
+// ---- differential check: recency index vs full scan ------------------------
+
+// The cache's samples in a plain table, answering freshest() with a scan of
+// every pair and a sort, and the counts with full scans.
+class ScanCache {
+ public:
+  ScanCache(int hosts, sim::SimTime ttl)
+      : hosts_(hosts),
+        ttl_(ttl),
+        table_(static_cast<std::size_t>(hosts * hosts)) {}
+
+  void record(net::HostId a, net::HostId b, double bw, sim::SimTime t) {
+    Sample& e = at(a, b);
+    if (t > e.measured_at) e = Sample{bw, t};
+  }
+  void invalidate(net::HostId a, net::HostId b) { at(a, b) = Sample{}; }
+  void invalidate_host(net::HostId h) {
+    for (net::HostId o = 0; o < hosts_; ++o) {
+      if (o != h) invalidate(h, o);
+    }
+  }
+
+  std::vector<PairSample> freshest(sim::SimTime now, std::size_t k) {
+    std::vector<PairSample> out;
+    for (net::HostId a = 0; a < hosts_; ++a) {
+      for (net::HostId b = a + 1; b < hosts_; ++b) {
+        const Sample& e = at(a, b);
+        if (e.measured_at >= 0 && now - e.measured_at <= ttl_) {
+          out.push_back(PairSample{a, b, e});
+        }
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const PairSample& x, const PairSample& y) {
+                if (x.sample.measured_at != y.sample.measured_at) {
+                  return x.sample.measured_at > y.sample.measured_at;
+                }
+                return std::pair(x.a, x.b) < std::pair(y.a, y.b);
+              });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+  std::size_t entry_count() {
+    std::size_t n = 0;
+    for (net::HostId a = 0; a < hosts_; ++a) {
+      for (net::HostId b = a + 1; b < hosts_; ++b) {
+        if (at(a, b).measured_at >= 0) ++n;
+      }
+    }
+    return n;
+  }
+  std::size_t unexpired_count(sim::SimTime now) {
+    return freshest(now, table_.size()).size();
+  }
+
+ private:
+  Sample& at(net::HostId a, net::HostId b) {
+    if (a > b) std::swap(a, b);
+    return table_[static_cast<std::size_t>(a * hosts_ + b)];
+  }
+
+  int hosts_;
+  sim::SimTime ttl_;
+  std::vector<Sample> table_;
+};
+
+void expect_same(const std::vector<PairSample>& got,
+                 const std::vector<PairSample>& want, const std::string& at) {
+  ASSERT_EQ(got.size(), want.size()) << at;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << at << " slot " << i;
+    EXPECT_EQ(got[i].b, want[i].b) << at << " slot " << i;
+    EXPECT_EQ(got[i].sample.bandwidth, want[i].sample.bandwidth) << at;
+    EXPECT_EQ(got[i].sample.measured_at, want[i].sample.measured_at) << at;
+  }
+}
+
+TEST(BandwidthCache, RecencyIndexMatchesAFullScanAt33Hosts) {
+  // 33 hosts = the 32-server runs. Integer timestamps drawn from a narrow
+  // window make exact ties common — between pairs, and between a merged
+  // sample and the entry it meets — and now jumps past the TTL now and then.
+  constexpr int kHosts = 33;
+  constexpr sim::SimTime kTtl = 40.0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    BandwidthCache cache(kHosts, kTtl);
+    ScanCache ref(kHosts, kTtl);
+    sim::SimTime now = 0;
+    const auto host = [&] {
+      return static_cast<net::HostId>(rng.next_below(kHosts));
+    };
+    const auto pair = [&] {
+      const net::HostId a = host();
+      net::HostId b = host();
+      while (b == a) b = host();
+      return std::pair(a, b);
+    };
+    const auto stamp = [&] {
+      return std::max(0.0, now - static_cast<double>(rng.next_below(60)));
+    };
+    for (int step = 0; step < 600; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 45) {
+        const auto [a, b] = pair();
+        const double bw = rng.uniform(1e3, 1e6);
+        const sim::SimTime t = stamp();
+        cache.record(a, b, bw, t);
+        ref.record(a, b, bw, t);
+      } else if (op < 75) {
+        std::vector<PairSample> batch;
+        for (std::uint64_t i = 1 + rng.next_below(6); i > 0; --i) {
+          const auto [a, b] = pair();
+          // Half the batch re-sends the receiver's own timestamp (a tie:
+          // kept as is) or an older one.
+          const auto mine = cache.lookup_any_age(a, b);
+          const sim::SimTime t =
+              mine && rng.bernoulli(0.5)
+                  ? mine->measured_at - static_cast<double>(rng.next_below(2))
+                  : stamp();
+          batch.push_back(PairSample{a, b, Sample{rng.uniform(1e3, 1e6), t}});
+        }
+        cache.merge(batch);
+        for (const PairSample& ps : batch) {
+          ref.record(ps.a, ps.b, ps.sample.bandwidth, ps.sample.measured_at);
+        }
+      } else if (op < 82) {
+        const auto [a, b] = pair();
+        cache.invalidate(a, b);
+        ref.invalidate(a, b);
+      } else if (op < 85) {
+        const net::HostId h = host();
+        cache.invalidate_host(h);
+        ref.invalidate_host(h);
+      } else if (op < 97) {
+        now += static_cast<double>(rng.next_below(6));
+      } else {
+        now += kTtl + static_cast<double>(rng.next_below(10));  // expire all
+      }
+
+      const std::string at =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const std::size_t live = ref.entry_count();
+      ASSERT_EQ(cache.entry_count(), live) << at;
+      ASSERT_EQ(cache.unexpired_count(now), ref.unexpired_count(now)) << at;
+      for (const std::size_t k : {std::size_t{1}, std::size_t{64}, live + 1}) {
+        expect_same(cache.freshest(now, k), ref.freshest(now, k), at);
+      }
+      // Asked again with nothing changed, the memoized snapshot answers.
+      expect_same(cache.freshest(now, 64), ref.freshest(now, 64), at);
+    }
+  }
 }
 
 }  // namespace
